@@ -36,14 +36,17 @@ bench-engine:
 
 # Quick smoke benchmark for CI and pre-commit: the engine hot path at a
 # fixed iteration count (so ns/op is stable enough for the benchguard
-# regression gate), one full figure experiment, and one large-fabric scale
-# cell (64 leaves, ~17M events) at a single iteration. Catches gross perf
-# or allocation regressions in about a minute without the full artifact
-# sweep.
+# regression gate), one full figure experiment, one large-fabric scale
+# cell (64 leaves, ~17M events) at a single iteration, and the idle path:
+# a bare idle fabric and one Incast run whose 20 s horizon is mostly idle
+# ticks. Catches gross perf or allocation regressions in about a minute
+# without the full artifact sweep.
 bench-quick:
 	$(GO) test -bench 'BenchmarkEngineRaw$$' -benchtime 200000x -run '^$$' .
 	$(GO) test -bench 'BenchmarkFig09Enterprise$$' -benchtime 1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkScale64Leaves40G$$' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkIdleFabric2Leaves$$' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkFig13IncastMPTCP$$' -benchtime 1x -run '^$$' .
 
 # Space-parallel scale benchmarks: the largest 40G cell sequential and at
 # 2/4/8 domains. ns/op ratios are the PR 7 speedup claim; events/op is
@@ -57,8 +60,8 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR10.json -max-regress 0.15 \
-		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
+	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json -max-regress 0.15 \
+		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise,BenchmarkIdleFabric2Leaves,BenchmarkFig13IncastMPTCP' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per worker count,
 # and ≥2.5× ns/op speedup at 8 workers over sequential (auto-skipped with
@@ -66,7 +69,7 @@ bench-guard:
 # gates still pin determinism).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR10.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		-speedup 'BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5' \
 		bench-parallel.txt

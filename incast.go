@@ -76,7 +76,12 @@ type IncastResult struct {
 	GoodputFraction float64
 	// CompletedRounds counts requests fully answered within Timeout.
 	CompletedRounds int
-	// TotalTime is the simulated time to finish all rounds.
+	// TotalTime is the simulated horizon: the engine clock when the run
+	// returned. Periodic DRE and flowlet ticks stay armed after the last
+	// round, so it equals IncastConfig.Timeout (20 s by default) even when
+	// the rounds finish within milliseconds. For how long the rounds took,
+	// use RoundTimeMean/RoundTimeP99; for the Figure 13 metric,
+	// GoodputFraction.
 	TotalTime time.Duration
 	// Drops counts losses at the client's access port.
 	Drops uint64

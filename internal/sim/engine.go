@@ -19,8 +19,18 @@
 // matter where an event is stored. Executed or cancelled events are
 // recycled through a per-engine free list, so the steady-state hot path
 // (schedule → run → recycle) does not allocate. Handles stay safe across
-// recycling via a per-event generation counter. See DESIGN.md for the
-// bucket-sizing and determinism argument.
+// recycling via a per-event generation counter.
+//
+// Periodic Tickers never enter the queue. The engine keeps its armed
+// tickers beside the wheel, the far heap and the Splice streams, caches the
+// earliest one's (time, seq), and the run loop compares that cache against
+// the queue minimum — one compare per event in the common case. A tick
+// holds a sequence number like any event: the first is taken at NewTicker,
+// each re-arm takes the next one after the tick's callback returns, so
+// every (time, seq) tie is exactly that of a ticker rescheduling itself
+// with At. Armed tickers count in Pending but not in Live: on their own
+// they do not keep Run(MaxTime) going. See DESIGN.md for the bucket-sizing
+// and determinism argument.
 package sim
 
 import (
@@ -91,10 +101,9 @@ type scheduledEvent struct {
 
 	prev, next *scheduledEvent // intrusive wheel-bucket list links
 
-	idx    int32 // far-heap index (locFar only)
-	slot   int32 // wheel slot index (levels 0..numLvls)
-	lvl    int8  // locNone, 0..numLvls (wheel level), or locFar
-	daemon bool  // housekeeping; does not keep Run(MaxTime) alive
+	idx  int32 // far-heap index (locFar only)
+	slot int32 // wheel slot index (levels 0..numLvls)
+	lvl  int8  // locNone, 0..numLvls (wheel level), or locFar
 }
 
 // bucket is one timing-wheel slot: a FIFO doubly-linked list of events.
@@ -119,9 +128,6 @@ func (h EventHandle) Cancel() bool {
 		return false
 	}
 	e := h.eng
-	if !ev.daemon {
-		e.live--
-	}
 	e.remove(ev)
 	e.pending--
 	e.recycle(ev)
@@ -138,11 +144,23 @@ func (h EventHandle) Pending() bool {
 type Engine struct {
 	now     Time
 	nextSeq uint64
-	live    int // pending non-daemon events
-	pending int // all pending events
+	pending int // all pending events, armed ticks included
 	// executed counts events that have run, for diagnostics and tests.
 	executed uint64
 	stopped  bool
+
+	// Running tickers, in no particular order; armed counts those holding
+	// a pending tick (all but one whose callback is executing). tickNext
+	// caches the earliest armed tick and tickAt/tickSeq its (at, seq);
+	// with none armed they read (MaxTime, MaxUint64), so comparing an event
+	// against them needs no emptiness test. Run re-establishes that
+	// sentinel on entry for the zero-value Engine. They sit beside the
+	// clock because the run loop reads them on every event.
+	tickAt   Time
+	tickSeq  uint64
+	armed    int
+	tickNext *Ticker
+	tickers  []*Ticker
 
 	// Timing wheel. winEnd[k] is the exclusive end of level k's window and
 	// is always aligned to level k's block size 2^(l0Bits + k·lvlBits), so
@@ -204,22 +222,26 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events that have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events waiting in the queue. Cancelled
-// events are removed eagerly, so they never linger in this count.
+// Pending returns the number of events waiting to run, armed ticks
+// included. Cancelled events are removed eagerly, so they never linger in
+// this count.
 func (e *Engine) Pending() int { return e.pending }
 
-// Live returns the number of pending non-daemon events. The window runner
-// (ParallelEngine) sums it across domains to decide global termination, the
-// same criterion Run(MaxTime) applies to a single engine.
-func (e *Engine) Live() int { return e.live }
+// Live returns the number of pending events other than armed ticks. The
+// window runner (ParallelEngine) sums it across domains to decide global
+// termination, the same criterion Run(MaxTime) applies to a single engine.
+func (e *Engine) Live() int { return e.pending - e.armed }
 
-// NextAt returns the timestamp of the earliest pending event (daemon or
-// not, scheduled or spliced) and whether one exists. Peeking may cascade
-// the timing wheel but never reorders or executes anything.
+// NextAt returns the timestamp of the earliest pending event (tick or not,
+// scheduled or spliced) and whether one exists. Peeking may cascade the
+// timing wheel but never reorders or executes anything.
 func (e *Engine) NextAt() (Time, bool) {
 	var t Time
 	ok := false
-	if ev := e.nextEvent(); ev != nil {
+	if e.tickNext != nil {
+		t, ok = e.tickAt, true
+	}
+	if ev := e.nextEvent(); ev != nil && (!ok || ev.at < t) {
 		t, ok = ev.at, true
 	}
 	for i := range e.streams {
@@ -233,7 +255,7 @@ func (e *Engine) NextAt() (Time, bool) {
 
 // ChainableTo reports whether executing work for time t synchronously from
 // within the current event is indistinguishable from scheduling it: the
-// interval (Now, t] holds no pending event (daemon ticks included) and t is
+// interval (Now, t] holds no pending event (ticks included) and t is
 // within the current Run bound, so nothing could have interleaved with —
 // or cut off — the collapsed work. It is the legality test for the fabric's
 // idle-path cut-through chains.
@@ -252,8 +274,8 @@ func (e *Engine) ChainableTo(t Time) bool {
 // buffer copy instead of len(times) queue insertions, and the entries take
 // consecutive sequence numbers as if scheduled back-to-back at the call —
 // so interleaving with ordinary events is exactly that of a loop over At,
-// only cheaper. Entries are non-daemon and cannot be cancelled. times is
-// copied; the caller may reuse it immediately.
+// only cheaper. Entries keep Run(MaxTime) alive like At events and cannot
+// be cancelled. times is copied; the caller may reuse it immediately.
 func (e *Engine) Splice(times []Time, fn Event) {
 	n := len(times)
 	if n == 0 {
@@ -274,7 +296,6 @@ func (e *Engine) Splice(times []Time, fn Event) {
 	buf = append(buf[:0], times...)
 	e.streams = append(e.streams, spliceStream{times: buf, seq0: e.nextSeq, fn: fn})
 	e.nextSeq += uint64(n)
-	e.live += n
 	e.pending += n
 }
 
@@ -307,7 +328,9 @@ func (e *Engine) dropStream(i int) {
 // it is always a model bug, and silently reordering time would corrupt every
 // downstream measurement.
 func (e *Engine) At(t Time, fn Event) EventHandle {
-	return e.schedule(t, fn, false)
+	h := e.schedule(t, fn, e.nextSeq)
+	e.nextSeq++
+	return h
 }
 
 // CurSeq returns the sequence number of the event currently executing. It
@@ -342,29 +365,11 @@ func (e *Engine) ReserveSeq() uint64 {
 // AtSeq schedules fn at absolute time t under a sequence number previously
 // obtained from ReserveSeq. t may equal Now: the event then runs within the
 // current instant, ordered against the instant's remaining events by seq.
-// The event is non-daemon. Each reserved number must back at most one AtSeq
-// call.
+// Each reserved number must back at most one AtSeq call.
 func (e *Engine) AtSeq(t Time, fn Event, seq uint64) EventHandle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	var ev *scheduledEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &scheduledEvent{}
-	}
-	ev.at, ev.seq, ev.fn, ev.daemon = t, seq, fn, false
-	e.live++
-	e.pending++
-	if e.wheel == 0 {
-		e.anchor()
-	}
-	e.place(ev)
-	e.restoreBucketOrder(ev)
-	return EventHandle{eng: e, ev: ev, gen: ev.gen}
+	h := e.schedule(t, fn, seq)
+	e.restoreBucketOrder(h.ev)
+	return h
 }
 
 // restoreBucketOrder moves ev — just appended to its wheel bucket's tail —
@@ -401,15 +406,9 @@ func (e *Engine) restoreBucketOrder(ev *scheduledEvent) {
 	}
 }
 
-// AtDaemon schedules a housekeeping event: it runs like any other, but
-// pending daemon events alone do not keep Run(MaxTime) alive. Periodic
-// infrastructure (DRE decay, flowlet sweeps) uses daemon events so "run
-// until the workload finishes" terminates.
-func (e *Engine) AtDaemon(t Time, fn Event) EventHandle {
-	return e.schedule(t, fn, true)
-}
-
-func (e *Engine) schedule(t Time, fn Event, daemon bool) EventHandle {
+// schedule queues fn at t under sequence number seq; the caller owns
+// nextSeq.
+func (e *Engine) schedule(t Time, fn Event, seq uint64) EventHandle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -421,11 +420,7 @@ func (e *Engine) schedule(t Time, fn Event, daemon bool) EventHandle {
 	} else {
 		ev = &scheduledEvent{}
 	}
-	ev.at, ev.seq, ev.fn, ev.daemon = t, e.nextSeq, fn, daemon
-	e.nextSeq++
-	if !daemon {
-		e.live++
-	}
+	ev.at, ev.seq, ev.fn = t, seq, fn
 	e.pending++
 	if e.wheel == 0 {
 		// The wheel is empty, so its windows can be re-anchored at the
@@ -537,10 +532,14 @@ func (e *Engine) remove(ev *scheduledEvent) {
 }
 
 // wheelMin returns the earliest event resident in the wheel, cascading
-// overflow buckets toward level 0 as needed; nil when the wheel is empty.
-// Within a level, slot index order is time order (each window is a suffix
-// of one aligned block) and bucket FIFO order is seq order, so the head of
-// the lowest occupied level-0 slot is the exact (time, seq) minimum.
+// overflow buckets toward level 0 as needed; nil when the wheel is empty,
+// or when level 0 is empty and the next tick precedes every overflow level.
+// Cascading then would push the windows past the tick, and anything
+// scheduled before the new base — by the tick, or by a parallel window's
+// exchange after a NextAt peek — would fall back to the far heap. Within a
+// level, slot index order is time order (each window is a suffix of one
+// aligned block) and bucket FIFO order is seq order, so the head of the
+// lowest occupied level-0 slot is the exact (time, seq) minimum.
 func (e *Engine) wheelMin() *scheduledEvent {
 	for {
 		if e.l0sum != 0 {
@@ -548,10 +547,23 @@ func (e *Engine) wheelMin() *scheduledEvent {
 			s := w<<6 + bits.TrailingZeros64(e.l0words[w])
 			return e.l0[s].head
 		}
-		if !e.cascade() {
+		if e.tickBeforeWheel() || !e.cascade() {
 			return nil
 		}
 	}
+}
+
+// tickBeforeWheel reports whether an armed tick precedes the start of
+// overflow level 1, and so every event resident in levels 1 and up.
+func (e *Engine) tickBeforeWheel() bool {
+	return e.tickNext != nil && e.tickAt < e.winEnd[0]
+}
+
+// tickFirst reports whether the next tick precedes ev in (time, seq)
+// order. With no ticker armed during Run the cache holds the sentinel, so
+// this is one compare on the hot path.
+func (e *Engine) tickFirst(ev *scheduledEvent) bool {
+	return e.tickAt <= ev.at && (e.tickAt < ev.at || e.tickSeq < ev.seq)
 }
 
 // cascade moves the earliest occupied bucket of the lowest non-empty
@@ -600,8 +612,10 @@ func (e *Engine) cascade() bool {
 	return false
 }
 
-// nextEvent returns the earliest pending event without removing it (the
-// wheel may cascade as a side effect), or nil when nothing is pending.
+// nextEvent returns the earliest queued event without removing it (the
+// wheel may cascade as a side effect). It returns nil when nothing is
+// queued, and may return nil or a later event when the next tick comes
+// first: callers always weigh its result against the tick.
 func (e *Engine) nextEvent() *scheduledEvent {
 	var w *scheduledEvent
 	if e.wheel > 0 {
@@ -616,12 +630,13 @@ func (e *Engine) nextEvent() *scheduledEvent {
 	return w
 }
 
-// popMin removes and returns the earliest pending event (cascading as
-// needed), or nil when nothing is pending. It is nextEvent+remove fused
-// for Run's hot loop: the minimum is almost always the head of the lowest
-// occupied level-0 slot, which unlinks with two stores and at most two
-// bitmap clears — none of remove's generic prev/level dispatch. It does
-// not touch pending; the caller owns that bookkeeping, as with remove.
+// popMin removes and returns the earliest queued event (cascading as
+// needed), or nil when nothing is queued or the next tick comes first. It
+// is nextEvent+remove fused for Run's hot loop: the minimum is almost
+// always the head of the lowest occupied level-0 slot, which unlinks with
+// two stores and at most two bitmap clears — none of remove's generic
+// prev/level dispatch. It does not touch pending; the caller owns that
+// bookkeeping, as with remove.
 func (e *Engine) popMin() *scheduledEvent {
 	var w *scheduledEvent
 	var ws int32
@@ -633,7 +648,7 @@ func (e *Engine) popMin() *scheduledEvent {
 				w = e.l0[ws].head
 				break
 			}
-			if !e.cascade() {
+			if e.tickBeforeWheel() || !e.cascade() {
 				break
 			}
 		}
@@ -641,12 +656,15 @@ func (e *Engine) popMin() *scheduledEvent {
 	if len(e.far) > 0 {
 		f := e.far[0]
 		if w == nil || eventLess(f, w) {
+			if e.tickFirst(f) {
+				return nil
+			}
 			e.farRemove(0)
 			f.lvl = locNone
 			return f
 		}
 	}
-	if w == nil {
+	if w == nil || e.tickFirst(w) {
 		return nil
 	}
 	b := &e.l0[ws]
@@ -694,64 +712,81 @@ func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	e.runUntil = until
 	defer func() { e.runUntil = 0 }()
+	if e.tickNext == nil {
+		e.tickAt, e.tickSeq = MaxTime, math.MaxUint64 // zero-value Engine
+	}
 	for e.pending > 0 && !e.stopped {
-		// With no live (non-daemon) work left, an unbounded run is done:
-		// only periodic housekeeping remains and it would tick forever.
-		if until == MaxTime && e.live == 0 {
+		// With only armed ticks left, an unbounded run is done: periodic
+		// housekeeping alone would tick forever.
+		if until == MaxTime && e.pending == e.armed {
 			break
 		}
 		var next *scheduledEvent
 		if len(e.streams) > 0 {
 			// Splice streams are live (a parallel window): peek, compare
-			// against the stream minimum, and only then remove.
+			// against the stream and tick minima, and only then remove.
 			next = e.nextEvent()
+			if next != nil && e.tickFirst(next) {
+				next = nil
+			}
 			if si := e.streamMinIdx(); si >= 0 {
 				st := &e.streams[si]
-				at := st.times[st.head]
-				if next == nil || at < next.at || (at == next.at && st.seq0+uint64(st.head) < next.seq) {
+				at, seq := st.times[st.head], st.seq0+uint64(st.head)
+				minAt, minSeq := e.tickAt, e.tickSeq
+				if next != nil {
+					minAt, minSeq = next.at, next.seq
+				}
+				if at < minAt || (at == minAt && seq < minSeq) {
 					if at > until {
 						e.now = until
 						return e.now
 					}
 					fn := st.fn
-					e.curSeq = st.seq0 + uint64(st.head)
+					e.curSeq = seq
 					st.head++
 					if st.head == len(st.times) {
 						e.dropStream(si)
 					}
 					e.pending--
-					e.live--
 					e.now = at
 					e.executed++
 					fn(e.now)
 					continue
 				}
 			}
-			if next.at > until {
-				e.now = until
-				return e.now
+			if next != nil {
+				if next.at > until {
+					e.now = until
+					return e.now
+				}
+				e.remove(next)
 			}
-			e.remove(next)
 		} else {
 			// No streams: pop the minimum directly. If it lies beyond the
 			// bounded run it goes back into the wheel (restoring its
 			// bucket-head position — it was the minimum, so it re-enters
 			// its slot with the smallest seq) for a later Run to find.
 			next = e.popMin()
-			if next.at > until {
+			if next != nil && next.at > until {
 				e.now = until
 				e.place(next)
 				e.restoreBucketOrder(next)
 				return e.now
 			}
 		}
+		if next == nil {
+			// The next tick comes first; pending > 0, so one is armed.
+			if e.tickAt > until {
+				e.now = until
+				return e.now
+			}
+			e.fireTick()
+			continue
+		}
 		e.pending--
 		e.now = next.at
 		e.curSeq = next.seq
 		fn := next.fn
-		if !next.daemon {
-			e.live--
-		}
 		e.executed++
 		// Recycle before running: the handle's generation no longer
 		// matches, so fn cancelling its own (spent) handle is a no-op, and
@@ -868,15 +903,19 @@ func (e *Engine) siftDown(i int, ev *scheduledEvent) {
 	ev.idx = int32(i)
 }
 
-// Ticker invokes fn every period until cancelled. It is the building block
-// for the DRE decay timer and the flowlet age sweep.
+// Ticker invokes fn every period until stopped. It is the building block
+// for the DRE decay timer and the flowlet age sweep. Ticks run in the
+// engine's (time, seq) order like events but live outside the event queue
+// (see the package comment), and an armed ticker alone does not keep
+// Run(MaxTime) going.
 type Ticker struct {
 	engine *Engine
 	period Time
 	fn     Event
-	handle EventHandle
-	tickFn Event // bound once so rescheduling does not allocate
-	done   bool
+	at     Time   // the pending tick, or the executing one while not armed
+	seq    uint64 // at's sequence number
+	idx    int    // position in engine.tickers; −1 once stopped
+	armed  bool   // a tick is pending
 }
 
 // NewTicker schedules fn to run every period, with the first invocation one
@@ -885,24 +924,70 @@ func NewTicker(e *Engine, period Time, fn Event) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: ticker period %v must be positive", period))
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.tickFn = t.tick
-	t.handle = e.AtDaemon(e.now+period, t.tickFn)
+	t := &Ticker{engine: e, period: period, fn: fn, idx: len(e.tickers)}
+	e.tickers = append(e.tickers, t)
+	e.arm(t, e.now+period)
 	return t
 }
 
-func (t *Ticker) tick(now Time) {
-	if t.done {
+// Stop cancels future invocations. It may be called from the ticker's own
+// callback, and more than once.
+func (t *Ticker) Stop() {
+	if t.idx < 0 {
 		return
 	}
-	t.fn(now)
-	if !t.done { // fn may have stopped the ticker
-		t.handle = t.engine.AtDaemon(now+t.period, t.tickFn)
+	e := t.engine
+	last := len(e.tickers) - 1
+	e.tickers[t.idx] = e.tickers[last]
+	e.tickers[t.idx].idx = t.idx
+	e.tickers[last] = nil
+	e.tickers = e.tickers[:last]
+	t.idx = -1
+	if t.armed {
+		t.armed = false
+		e.armed--
+		e.pending--
+		if e.tickNext == t {
+			e.findNextTick()
+		}
 	}
 }
 
-// Stop cancels future invocations.
-func (t *Ticker) Stop() {
-	t.done = true
-	t.handle.Cancel()
+// arm schedules t's next tick at time at under the next sequence number.
+func (e *Engine) arm(t *Ticker, at Time) {
+	t.at, t.seq, t.armed = at, e.nextSeq, true
+	e.nextSeq++
+	e.armed++
+	e.pending++
+	if e.tickNext == nil || at < e.tickAt || (at == e.tickAt && t.seq < e.tickSeq) {
+		e.tickNext, e.tickAt, e.tickSeq = t, at, t.seq
+	}
+}
+
+// findNextTick recomputes the earliest armed tick. Tickers are few (two
+// per fabric engine plus samplers), so a scan is cheapest.
+func (e *Engine) findNextTick() {
+	e.tickNext, e.tickAt, e.tickSeq = nil, MaxTime, math.MaxUint64
+	for _, t := range e.tickers {
+		if t.armed && (t.at < e.tickAt || (t.at == e.tickAt && t.seq < e.tickSeq)) {
+			e.tickNext, e.tickAt, e.tickSeq = t, t.at, t.seq
+		}
+	}
+}
+
+// fireTick runs the earliest armed tick and re-arms its ticker one period
+// later, taking the re-arm's sequence number after fn returns — exactly
+// the number a ticker rescheduling itself with At from fn would get.
+func (e *Engine) fireTick() {
+	t := e.tickNext
+	t.armed = false
+	e.armed--
+	e.pending--
+	e.findNextTick()
+	e.now, e.curSeq = t.at, t.seq
+	e.executed++
+	t.fn(e.now)
+	if t.idx >= 0 { // fn may have stopped the ticker
+		e.arm(t, t.at+t.period)
+	}
 }

@@ -266,7 +266,7 @@ func TestTickerStop(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	e.Run(1000) // bounded: tickers are daemon events and don't keep MaxTime runs alive
+	e.Run(1000) // bounded: armed ticks alone don't keep MaxTime runs alive
 
 	if count != 3 {
 		t.Fatalf("ticker fired %d times after Stop at 3, want 3", count)

@@ -34,10 +34,10 @@ import (
 // how the goroutines are scheduled.
 //
 // Termination matches Engine.Run's spirit: the run stops when no engine
-// has live (non-daemon) events left, or when the next window would start
-// past the until bound. Unlike a sequential Run(until), trailing
-// daemon-only housekeeping after the last live event is not executed — it
-// could no longer affect any observable outcome.
+// has live events (anything but armed ticks) left, or when the next window
+// would start past the until bound. Unlike a sequential Run(until),
+// trailing ticker-only housekeeping after the last live event is not
+// executed — it could no longer affect any observable outcome.
 type ParallelEngine struct {
 	engines  []*Engine
 	window   Time

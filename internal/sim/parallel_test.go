@@ -107,7 +107,7 @@ func TestParallelEngineValidation(t *testing.T) {
 }
 
 // TestParallelEngineSingleDomain checks the degenerate one-engine form is
-// exactly a sequential run, including daemon semantics and the closed
+// exactly a sequential run, including termination semantics and the closed
 // interval at until.
 func TestParallelEngineSingleDomain(t *testing.T) {
 	eng := New()

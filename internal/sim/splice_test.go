@@ -103,7 +103,7 @@ func TestSpliceRejectsUnsorted(t *testing.T) {
 }
 
 // TestChainableTo pins the cut-through legality test: chainable exactly
-// when (now, t] is event-free — daemon events included — and t does not
+// when (now, t] is event-free — pending ticks included — and t does not
 // cross the Run bound.
 func TestChainableTo(t *testing.T) {
 	e := New()
@@ -115,16 +115,21 @@ func TestChainableTo(t *testing.T) {
 			e.ChainableTo(60), // past it too
 		)
 	})
-	e.At(15, func(Time) {})
-	e.AtDaemon(30, func(now Time) {
+	e.At(15, func(Time) {
 		got = append(got,
-			e.ChainableTo(35), // nothing pending at all, within bound
+			e.ChainableTo(29), // nothing until the tick at 30: ok
+			e.ChainableTo(30), // the pending tick blocks
+		)
+	})
+	NewTicker(e, 30, func(now Time) {
+		got = append(got,
+			e.ChainableTo(35), // next tick at 60, within bound: ok
 			e.ChainableTo(50), // exactly the Run bound: ok (closed interval)
 			e.ChainableTo(51), // past the Run bound
 		)
 	})
 	e.Run(50)
-	want := []bool{true, false, false, true, true, false}
+	want := []bool{true, false, false, true, false, true, true, false}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("ChainableTo results %v, want %v", got, want)
@@ -146,4 +151,39 @@ func TestChainableTo(t *testing.T) {
 	})
 	e2.Splice([]Time{20}, func(Time) {})
 	e2.Run(MaxTime)
+}
+
+// TestNextAtSeesPendingTick checks that NextAt reports an armed tick,
+// alone and against queued events and spliced entries on either side of
+// it, and that a bounded Run leaves the tick beyond its bound pending.
+func TestNextAtSeesPendingTick(t *testing.T) {
+	e := New()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on an empty engine should report nothing")
+	}
+	tk := NewTicker(e, 30, func(Time) {})
+	if at, ok := e.NextAt(); !ok || at != 30 {
+		t.Fatalf("NextAt = %v %v, want the tick at 30", at, ok)
+	}
+	e.At(40, func(Time) {})
+	e.Splice([]Time{50}, func(Time) {})
+	if at, _ := e.NextAt(); at != 30 {
+		t.Fatalf("NextAt = %v, want the tick at 30 ahead of later events", at)
+	}
+	e.At(20, func(Time) {})
+	if at, _ := e.NextAt(); at != 20 {
+		t.Fatalf("NextAt = %v, want the event at 20 ahead of the tick", at)
+	}
+	e.Run(45) // runs 20, tick 30, 40; next tick at 60 stays pending
+	if at, _ := e.NextAt(); at != 50 || e.Pending() != 2 || e.Live() != 1 {
+		t.Fatalf("after Run(45): NextAt %v, pending %d, live %d; want 50, 2, 1", at, e.Pending(), e.Live())
+	}
+	e.Run(55)
+	if at, ok := e.NextAt(); !ok || at != 60 {
+		t.Fatalf("NextAt = %v %v, want the re-armed tick at 60", at, ok)
+	}
+	tk.Stop()
+	if _, ok := e.NextAt(); ok || e.Pending() != 0 {
+		t.Fatalf("stopped ticker still visible: pending %d", e.Pending())
+	}
 }

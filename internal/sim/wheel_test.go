@@ -144,9 +144,15 @@ func TestWheelRandomizedCrossLevelOrder(t *testing.T) {
 			at := e.Now() + Time(r.Intn(int(span)))
 			seq := len(all)
 			all = append(all, rec{at: at, seq: seq})
-			if r.Intn(8) == 0 {
-				e.AtDaemon(at, func(Time) { got = append(got, seq) })
-				hs = append(hs, EventHandle{}) // daemons stay uncancelled
+			if r.Intn(8) == 0 && at > e.Now() {
+				// A one-shot ticker: the tick is armed outside the wheel
+				// and must still interleave in exact (time, seq) order.
+				var tk *Ticker
+				tk = NewTicker(e, at-e.Now(), func(Time) {
+					got = append(got, seq)
+					tk.Stop()
+				})
+				hs = append(hs, EventHandle{}) // ticks stay uncancelled
 			} else {
 				hs = append(hs, e.At(at, func(Time) { got = append(got, seq) }))
 			}
@@ -159,8 +165,8 @@ func TestWheelRandomizedCrossLevelOrder(t *testing.T) {
 		}
 		e.Run(e.Now() + Time(r.Intn(int(3*Second))))
 	}
-	// Bounded final drain: Run(MaxTime) would stop once only daemon
-	// events remain, but here the daemons are part of the expected order.
+	// Bounded final drain: Run(MaxTime) would stop once only ticks
+	// remain, but here the ticks are part of the expected order.
 	e.Run(e.Now() + 2*3600*Second)
 	var expect []rec
 	for _, w := range all {
