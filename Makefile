@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile replay-smoke decision-smoke check
+.PHONY: build test race vet lint bench bench-engine bench-quick bench-guard bench-profile replay-smoke decision-smoke fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -48,12 +48,6 @@ bench-quick:
 	$(GO) test -bench 'BenchmarkIdleFabric2Leaves$$' -benchtime 1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkFig13IncastMPTCP$$' -benchtime 1x -run '^$$' .
 
-# Space-parallel scale benchmarks: the largest 40G cell sequential and at
-# 2/4/8 domains. ns/op ratios are the PR 7 speedup claim; events/op is
-# deterministic per worker count.
-bench-parallel:
-	$(GO) test -bench 'BenchmarkScale256Leaves40G(Parallel[248])?$$' -benchtime 1x -run '^$$' .
-
 # Gate bench-quick output against the recorded baseline: ns/op (15%) on the
 # engine micro-bench, events/op (exact) and allocs/op (10%) on every
 # benchmark with a baseline entry (CI runs this on
@@ -62,17 +56,6 @@ bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
 	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise,BenchmarkIdleFabric2Leaves,BenchmarkFig13IncastMPTCP' bench-quick.txt
-
-# Gate the space-parallel scale cells: events/op exact per worker count,
-# and ≥2.5× ns/op speedup at 8 workers over sequential (auto-skipped with
-# a warning on machines with fewer than 8 procs, where the events/op exact
-# gates still pin determinism).
-bench-guard-parallel:
-	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json \
-		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
-		-speedup 'BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5' \
-		bench-parallel.txt
 
 # One Fig09 run under the CPU profiler (~0.5 s of profiled simulation).
 # CI uploads fig09.cpu.prof as an artifact so a perf regression flagged by
@@ -108,5 +91,11 @@ decision-smoke:
 	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.csv
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
+
+# Replay-decoder fuzz smoke (~10 s): mutate the committed seed corpus in
+# internal/replay/testdata/fuzz against both trace decoders. Plain `go
+# test` already replays the corpus; this explores beyond it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 10s ./internal/replay
 
 check: build vet test race

@@ -114,16 +114,6 @@ func benchFCT(b *testing.B, scheme Scheme, w Workload, load float64, fail bool) 
 // 256 leaves — steady-state work recycles through the per-engine pools.
 func benchScale(b *testing.B, leaves int, accessGbps float64, maxFlows int) {
 	b.Helper()
-	benchScaleP(b, leaves, accessGbps, maxFlows, 1)
-}
-
-// benchScaleP is benchScale with a space-parallel domain count: the same
-// sweep cell executed by sim.ParallelEngine across `parallel` worker
-// goroutines. ns/op against the sequential cell is the speedup the PR 7
-// tentpole claims; events/op is deterministic per worker count and gated
-// exactly by tools/benchguard.
-func benchScaleP(b *testing.B, leaves int, accessGbps float64, maxFlows, parallel int) {
-	b.Helper()
 	b.ReportAllocs()
 	// Take the cell from the sweep's own expansion so the benchmark and
 	// `congabench scale` measure identical configurations.
@@ -131,7 +121,6 @@ func benchScaleP(b *testing.B, leaves int, accessGbps float64, maxFlows, paralle
 		Leaves:     []int{leaves},
 		AccessGbps: []float64{accessGbps},
 		MaxFlows:   maxFlows,
-		Parallel:   parallel,
 	}.Configs()[0]
 	var events uint64
 	var norm float64
@@ -159,13 +148,6 @@ func BenchmarkScale256Leaves40G(b *testing.B) { benchScale(b, 256, 40, 2000) }
 
 // BenchmarkScale256Leaves100G is the largest cell at 100G access/fabric.
 func BenchmarkScale256Leaves100G(b *testing.B) { benchScale(b, 256, 100, 2000) }
-
-// BenchmarkScale256Leaves40GParallel{2,4,8} run the largest 40G cell
-// space-parallel. Compare ns/op with BenchmarkScale256Leaves40G for the
-// speedup; each worker count has its own deterministic events/op.
-func BenchmarkScale256Leaves40GParallel2(b *testing.B) { benchScaleP(b, 256, 40, 2000, 2) }
-func BenchmarkScale256Leaves40GParallel4(b *testing.B) { benchScaleP(b, 256, 40, 2000, 4) }
-func BenchmarkScale256Leaves40GParallel8(b *testing.B) { benchScaleP(b, 256, 40, 2000, 8) }
 
 // BenchmarkFig02Asymmetry regenerates the Figure 2 scenario (ECMP vs local
 // vs CONGA under capacity asymmetry).

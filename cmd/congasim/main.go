@@ -52,7 +52,6 @@ func main() {
 		mtu       = flag.Int("mtu", 1500, "MTU in bytes")
 		imbalance = flag.Bool("imbalance", false, "collect Figure-12 imbalance stats")
 		queues    = flag.Bool("queues", false, "collect queue occupancy stats")
-		parallel  = flag.Int("parallel", 1, "space-parallel domains for fct mode (>1 partitions the fabric across that many worker goroutines)")
 
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
 		reqMB  = flag.Int("reqmb", 10, "incast request size in MB")
@@ -126,14 +125,9 @@ func main() {
 		die(err)
 		tel.TraceStopAfter = *traceStop
 		// The decision plane is opt-in on the CLI: the audit trail and path
-		// matrices only appear with -decisions. Under -parallel the per-leaf
-		// hooks stay on but the single shared audit buffer must go.
+		// matrices only appear with -decisions.
 		tel.Decisions, tel.DecisionTrace = *decisions, *decisions
 		tel.DecisionMode = tel.TraceMode
-		if *decisions && *parallel > 1 {
-			tel.DecisionTrace = false
-			fmt.Printf("decisions: audit trail disabled under -parallel %d (no deterministic merge); path matrices and staleness series remain on\n", *parallel)
-		}
 	} else if *decisions {
 		die(fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR or -serve ADDR"))
 	}
@@ -160,8 +154,8 @@ func main() {
 			Topology: topo, Scheme: sch, Workload: w, Load: *load,
 			Transport: tc, Duration: *duration, MaxFlows: *maxFlows, Seed: *seed,
 			CollectImbalance: *imbalance, CollectQueues: *queues,
-			Telemetry: tel, Parallel: *parallel,
-			Record: *recordPath != "",
+			Telemetry: tel,
+			Record:    *recordPath != "",
 		}
 		if *replayPath != "" {
 			tr, err := replay.Read(*replayPath)

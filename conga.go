@@ -216,21 +216,19 @@ func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []
 }
 
 // build instantiates the network and applies link failures. tel (nil when
-// telemetry is off) is wired through the fabric before any event runs.
+// telemetry is off) is wired through the fabric before any event runs. A
+// failed link that names no link of the fabric is a configuration error.
 func (t Topology) build(eng *sim.Engine, scheme Scheme, params core.Params, wcmp []float64, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
-	return t.buildPartitioned([]*sim.Engine{eng}, scheme, params, wcmp, seed, tel)
-}
-
-// buildPartitioned is build across one engine per partition domain, for
-// the space-parallel runner (see parallel_fct.go). Link failures are
-// applied before the run starts, so the up/down flags are immutable while
-// domains execute concurrently.
-func (t Topology) buildPartitioned(engines []*sim.Engine, scheme Scheme, params core.Params, wcmp []float64, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
-	n, err := fabric.NewPartitionedNetwork(engines, t.fabricConfig(scheme, params, wcmp, seed, tel))
+	n, err := fabric.NewNetwork(eng, t.fabricConfig(scheme, params, wcmp, seed, tel))
 	if err != nil {
 		return nil, err
 	}
+	c := n.Cfg
 	for _, f := range t.FailedLinks {
+		if f[0] < 0 || f[0] >= c.NumLeaves || f[1] < 0 || f[1] >= c.NumSpines || f[2] < 0 || f[2] >= c.LinksPerSpine {
+			return nil, fmt.Errorf("conga: failed link (leaf %d, spine %d, link %d) is outside the %d×%d×%d fabric",
+				f[0], f[1], f[2], c.NumLeaves, c.NumSpines, c.LinksPerSpine)
+		}
 		n.FailLink(f[0], f[1], f[2])
 	}
 	return n, nil

@@ -119,22 +119,6 @@ type FCTConfig struct {
 	// FCTResult.FlowFCTs, sorted by flow ID — the raw material for
 	// matched-pairs comparison (stats.PairedSample, RunReplayCompare).
 	CollectFlows bool
-
-	// Parallel, when > 1, runs this single experiment space-parallel: the
-	// fabric is partitioned into Parallel domains (one engine and worker
-	// goroutine each; see internal/fabric/partition.go) executed in bounded
-	// time windows by sim.ParallelEngine. Results are deterministic for a
-	// fixed Parallel value, and Parallel <= 1 keeps the exact sequential
-	// code path. Parallel mode rejects the options that need a single
-	// engine: CollectImbalance, CollectQueues, SampleCap, and telemetry
-	// traces/taps.
-	Parallel int
-
-	// testFlowHook, when set, observes every completed flow as
-	// (domain, flowID, fct) from that domain's goroutine; parallel-mode
-	// determinism tests use it to capture per-flow FCT vectors. The hook
-	// must be safe for concurrent calls from different domains.
-	testFlowHook func(domain int, flowID uint64, fct sim.Time)
 }
 
 func (c FCTConfig) withDefaults() FCTConfig {
@@ -264,9 +248,7 @@ func OptimalFCT(t Topology, transport TransportConfig, size int64) time.Duration
 	return time.Duration((transmit + 2*prop + ack) * 1e9)
 }
 
-// RunFCT executes one FCT experiment. With cfg.Parallel > 1 the run is
-// space-parallel across domain engines (see parallel_fct.go); otherwise it
-// executes on the single sequential engine below.
+// RunFCT executes one FCT experiment on a single engine.
 func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	start := time.Now()
 	res, err := runFCT(cfg)
@@ -282,9 +264,6 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		// The replayed horizon is the recording's, not the caller's: an
 		// arrival window shorter than the trace span would truncate it.
 		cfg.Duration = time.Duration(cfg.Replay.Header.DurationNs)
-	}
-	if cfg.Parallel > 1 {
-		return runFCTParallel(cfg)
 	}
 	fabScheme, transport, err := schemeForFabric(cfg.Scheme, cfg.Transport.Kind)
 	if err != nil {

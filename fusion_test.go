@@ -10,13 +10,10 @@ import (
 // the fused engine must reproduce bit-for-bit. Fig09 is the steady-state
 // FCT sweep, Fig11 adds a failed fabric link (asymmetry plus the SetUp
 // drop paths), and Scale64 is the smallest large-fabric sweep cell (many
-// leaves, 40G links, pooled flows). Each runs sequentially and, where
-// listed, space-parallel with two domains (mailbox export + window-merge
-// splice paths).
+// leaves, 40G links, pooled flows).
 func fusionCells() []struct {
-	name     string
-	parallel []int
-	cfg      FCTConfig
+	name string
+	cfg  FCTConfig
 } {
 	fig09 := FCTConfig{
 		Topology:  benchTopo(),
@@ -44,13 +41,12 @@ func fusionCells() []struct {
 	scale64.Seed = 3
 
 	return []struct {
-		name     string
-		parallel []int
-		cfg      FCTConfig
+		name string
+		cfg  FCTConfig
 	}{
-		{"Fig09", []int{1, 2}, fig09},
-		{"Fig11", []int{1}, fig11},
-		{"Scale64", []int{1, 2}, scale64},
+		{"Fig09", fig09},
+		{"Fig11", fig11},
+		{"Scale64", scale64},
 	}
 }
 
@@ -63,31 +59,27 @@ func fusionCells() []struct {
 // test proves nothing.
 func TestFusionEquivalence(t *testing.T) {
 	for _, cell := range fusionCells() {
-		for _, par := range cell.parallel {
-			cfg := cell.cfg
-			cfg.Parallel = par
+		cfg := cell.cfg
+		fused, err := RunFCT(cfg)
+		if err != nil {
+			t.Fatalf("%s fused: %v", cell.name, err)
+		}
+		cfg.Topology.DisableFusion = true
+		slow, err := RunFCT(cfg)
+		if err != nil {
+			t.Fatalf("%s unfused: %v", cell.name, err)
+		}
 
-			fused, err := RunFCT(cfg)
-			if err != nil {
-				t.Fatalf("%s/p%d fused: %v", cell.name, par, err)
-			}
-			cfg.Topology.DisableFusion = true
-			slow, err := RunFCT(cfg)
-			if err != nil {
-				t.Fatalf("%s/p%d unfused: %v", cell.name, par, err)
-			}
-
-			if fused.Events >= slow.Events {
-				t.Errorf("%s/p%d: fusion executed %d events, unfused %d — fast path never engaged",
-					cell.name, par, fused.Events, slow.Events)
-			}
-			f, s := *fused, *slow
-			f.Events, s.Events = 0, 0
-			f.Wall, s.Wall = 0, 0
-			if !reflect.DeepEqual(f, s) {
-				t.Errorf("%s/p%d: fused run diverged from unfused\nfused:   %+v\nunfused: %+v",
-					cell.name, par, f, s)
-			}
+		if fused.Events >= slow.Events {
+			t.Errorf("%s: fusion executed %d events, unfused %d — fast path never engaged",
+				cell.name, fused.Events, slow.Events)
+		}
+		f, s := *fused, *slow
+		f.Events, s.Events = 0, 0
+		f.Wall, s.Wall = 0, 0
+		if !reflect.DeepEqual(f, s) {
+			t.Errorf("%s: fused run diverged from unfused\nfused:   %+v\nunfused: %+v",
+				cell.name, f, s)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package conga
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -146,6 +148,36 @@ func TestRunFCTRejectsBadScheme(t *testing.T) {
 	_, err := RunFCT(FCTConfig{Scheme: Scheme(42), Load: 0.5})
 	if err == nil {
 		t.Fatal("bad scheme accepted")
+	}
+}
+
+// TestBadTopologyIsAnError feeds topologies that name a link outside the
+// fabric or a non-positive link rate through RunFCT and RunIncast: each
+// must come back as an error naming the problem, never a panic from deep
+// in the fabric build.
+func TestBadTopologyIsAnError(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Topology)
+		want string
+	}{
+		{"failed leaf out of range", func(t *Topology) { t.FailedLinks = [][3]int{{5, 0, 0}} }, "failed link"},
+		{"failed spine out of range", func(t *Topology) { t.FailedLinks = [][3]int{{0, 2, 0}} }, "failed link"},
+		{"failed parallel link out of range", func(t *Topology) { t.FailedLinks = [][3]int{{0, 0, -1}} }, "failed link"},
+		{"negative access rate", func(t *Topology) { t.AccessGbps = -10 }, "AccessRateBps"},
+		{"NaN fabric rate", func(t *Topology) { t.FabricGbps = math.NaN() }, "FabricRateBps"},
+	}
+	for _, c := range cases {
+		topo := quickTopo()
+		c.edit(&topo)
+		_, err := RunFCT(FCTConfig{Topology: topo, Scheme: SchemeCONGA, Load: 0.5, MaxFlows: 10})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunFCT, %s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
+		_, err = RunIncast(IncastConfig{Topology: topo, Scheme: SchemeECMP, Fanout: 4, Rounds: 1})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunIncast, %s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -88,35 +88,39 @@ func TestFusionSetUpMidClaimMatchesSlowPath(t *testing.T) {
 	}
 }
 
-// TestExchangeAcceptsBoundaryArrival pins the window-edge contract: a
-// fused cross-domain hop whose arrival lands exactly on windowEnd is legal
-// (the lookahead guarantee is "at or after"), must survive the merge, and
-// must schedule at precisely the boundary tick.
-func TestExchangeAcceptsBoundaryArrival(t *testing.T) {
-	n, err := NewPartitionedNetwork(partEngines(2), partCfg(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := n.Leaves[0]
-	var l *Link
-	for i, up := range ls.uplinks {
-		if ls.uplinkSpine[i] == 1 {
-			l = up
+// TestInFlightSurvivesLinkFailure pins SetUp(false)'s semantics on both
+// link paths: failing a link drops its queue and any packet still
+// serializing, but a packet that finished serialization is on the wire and
+// must neither be dropped nor lose its scheduled delivery.
+func TestInFlightSurvivesLinkFailure(t *testing.T) {
+	for _, disableFusion := range []bool{false, true} {
+		eng := sim.New()
+		cfg := smallTestConfig(SchemeCONGA)
+		cfg.FabricRateBps = 40e9
+		cfg.DisableFusion = disableFusion
+		n, err := NewNetwork(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if l == nil || l.xq == nil {
-		t.Fatal("expected a cross-domain uplink l0->s1")
-	}
-	p := n.DomainPool(0).Get()
-	const we = sim.Time(2000)
-	n.mail[0][1].push(p, we, l) // arrival == windowEnd: the legal edge
-	n.Exchange(1, we)           // must not panic
+		l := n.Leaves[0].uplinks[0]
+		p := n.Pool().Get()
+		p.Payload = 1000
+		eng.At(0, func(now sim.Time) { l.Send(p, now) })
+		eng.Run(500 * sim.Nanosecond) // serialization (~0.2 µs) done, propagation (1 µs) not
+		arrival, ok := eng.NextAt()
+		if !ok || arrival <= eng.Now() || arrival > sim.Microsecond+500*sim.Nanosecond {
+			t.Fatalf("fusion off=%v: next event %v (ok=%v), want the in-flight arrival", disableFusion, arrival, ok)
+		}
 
-	b := n.deliv[1].last
-	if b == nil || len(b.queue) != 1 || b.queue[0].p != p {
-		t.Fatalf("boundary arrival not queued: %+v", b)
-	}
-	if next, ok := n.DomainEngine(1).NextAt(); !ok || next != we {
-		t.Fatalf("boundary arrival scheduled at %v (ok=%v), want %v", next, ok, we)
+		l.SetUp(false)
+		if l.Drops != 0 || l.TxPackets != 1 {
+			t.Fatalf("fusion off=%v: failure touched the in-flight packet: drops %d, tx %d", disableFusion, l.Drops, l.TxPackets)
+		}
+		if len(l.inflight) <= l.infHead || l.inflight[len(l.inflight)-1] != p {
+			t.Fatalf("fusion off=%v: in-flight packet tombstoned", disableFusion)
+		}
+		if next, ok := eng.NextAt(); !ok || next != arrival {
+			t.Fatalf("fusion off=%v: delivery now at %v (ok=%v), want %v", disableFusion, next, ok, arrival)
+		}
 	}
 }

@@ -18,7 +18,6 @@ type Host struct {
 	pool      *PacketPool
 	recv      portTable
 	nextPort  int
-	maxEphem  int // AllocPort draws from [minPort, maxEphem]
 	RxPackets uint64
 	RxBytes   uint64
 
@@ -40,19 +39,7 @@ const (
 )
 
 func newHost(id, leaf int, pool *PacketPool) *Host {
-	return &Host{ID: id, Leaf: leaf, pool: pool, nextPort: minPort, maxEphem: maxPort}
-}
-
-// LimitEphemeralPorts shrinks AllocPort's range to [minPort, ceil]. The
-// parallel harness pre-assigns receiver ports above that ceiling before the
-// run, so sender-side allocations (which happen concurrently, one domain
-// per goroutine, against this host's domain-local table) can never collide
-// with them. Must be called before any AllocPort.
-func (h *Host) LimitEphemeralPorts(ceil int) {
-	if ceil <= minPort {
-		panic(fmt.Sprintf("fabric: host %d ephemeral-port ceiling %d below floor %d", h.ID, ceil, minPort))
-	}
-	h.maxEphem = ceil
+	return &Host{ID: id, Leaf: leaf, pool: pool, nextPort: minPort}
 }
 
 // NewPacket returns a zeroed packet from the fabric's pool. The packet is
@@ -75,13 +62,12 @@ func (h *Host) Bind(port int, r Receiver) {
 // Unbind releases a port.
 func (h *Host) Unbind(port int) { h.recv.delete(port) }
 
-// AllocPort returns a fresh unused local port from [minPort, maxPort] (or
-// the lower ceiling set by LimitEphemeralPorts), wrapping around when the
-// space is exhausted and skipping ports still bound to live receivers. It
-// panics only if every port in the range is live — at which point the
-// simulation has tens of millions of concurrent endpoints on one host and
-// something else is already wrong.
-func (h *Host) AllocPort() int { return h.allocPortIn(minPort, h.maxEphem) }
+// AllocPort returns a fresh unused local port from [minPort, maxPort],
+// wrapping around when the space is exhausted and skipping ports still
+// bound to live receivers. It panics only if every port in the range is
+// live — at which point the simulation has tens of millions of concurrent
+// endpoints on one host and something else is already wrong.
+func (h *Host) AllocPort() int { return h.allocPortIn(minPort, maxPort) }
 
 // allocPortIn is AllocPort over an explicit range (tests shrink it to
 // exercise wraparound and exhaustion without 2²⁶ iterations).

@@ -23,7 +23,7 @@ type LeafSwitch struct {
 
 	strategy  Strategy
 	vni       uint32
-	pool      *PacketPool // owning domain's pool (== net.pool when sequential)
+	pool      *PacketPool // == net.pool
 	usableBuf []bool
 
 	// decisions feeds the decision-plane path load matrix with payload

@@ -56,20 +56,12 @@ type Link struct {
 	// mirrors the slow path's in-service drop for it).
 	fuse       bool
 	dstIsHost  bool       // chains never extend into transport endpoints
-	chain      *chainFlag // owning domain's arrival-context flag; nil ⇒ no chaining
+	chain      *chainFlag // the network's arrival-context flag; nil ⇒ no chaining
 	freeAt     sim.Time
 	claimSeq   uint64
 	fusedPkt   *Packet
 	drainFn    sim.Event
 	drainArmed bool
-
-	// Space-parallel partition wiring (see partition.go): dom is the
-	// domain of the transmitting node (which owns eng, pool, queue, DRE
-	// and counters); xq, when non-nil, marks a cross-domain link whose
-	// deliveries go through a window-exchange mailbox instead of a
-	// directly scheduled event. Both are zero on sequential networks.
-	dom int
-	xq  *mailbox
 
 	dre        *core.DRE // nil on access links
 	pathMetric core.PathMetric
@@ -168,8 +160,8 @@ func (l *Link) SetUp(up bool) {
 			l.dre.Reset()
 		}
 		// A packet still serializing when the cable is pulled dies on the
-		// wire. Both paths commit the arrival at transmit start (inflight
-		// ring or mailbox), so the committed entry is tombstoned and the
+		// wire. Both paths commit the arrival to the inflight ring at
+		// transmit start, so the committed entry is tombstoned and the
 		// arrival fires as a no-op. At most one packet can be mid-
 		// serialization: the transmitter is serial, so every earlier one
 		// finished before the next was accepted. The slow path's victim
@@ -189,31 +181,13 @@ func (l *Link) SetUp(up bool) {
 		}
 		l.fusedPkt = nil
 		if victim != nil {
-			found := false
-			if l.xq != nil {
-				es := l.xq.entries
-				for i := len(es) - 1; i >= 0; i-- {
-					if es[i].p == victim {
-						es[i].p = nil
-						found = true
-						break
-					}
+			for i := len(l.inflight) - 1; i >= l.infHead; i-- {
+				if l.inflight[i] == victim {
+					l.inflight[i] = nil
+					l.noteDrop(victim, l.eng.Now())
+					l.pool.Put(victim)
+					break
 				}
-			} else {
-				for i := len(l.inflight) - 1; i >= l.infHead; i-- {
-					if l.inflight[i] == victim {
-						l.inflight[i] = nil
-						found = true
-						break
-					}
-				}
-			}
-			// A cross-domain entry already drained by a window exchange has
-			// left this domain's reach; it delivers (the packet was fully
-			// committed to the wire when the window closed).
-			if found {
-				l.noteDrop(victim, l.eng.Now())
-				l.pool.Put(victim)
 			}
 		}
 	}
@@ -297,8 +271,8 @@ func (l *Link) Send(p *Packet, now sim.Time) {
 // analytically at now+serialization+propagation. Equivalence to the slow
 // path (DESIGN.md §3.9): queue occupancy is untouched either way, CE
 // marking and DRE accounting happen at transmit start in both, arrival
-// commitment (inflight ring or mailbox entry, and the delivery event's
-// sequence number) happens at transmit start in both, and the skipped
+// commitment (the inflight ring entry and the delivery event's sequence
+// number) happens at transmit start in both, and the skipped
 // txDone's sequence number is reserved so contention and same-instant ties
 // resolve identically. The tx-done counters move earlier only within the
 // serialization interval — no event can observe the difference mid-claim
@@ -332,13 +306,6 @@ func (l *Link) fastTransmit(p *Packet, now sim.Time) {
 	l.freeAt = serEnd
 	l.claimSeq = l.eng.ReserveSeq() // the skipped txDone's number
 	l.fusedPkt = p
-	if l.xq != nil {
-		// Cross-domain hop: one mailbox entry, zero local events. The slow
-		// path consumes no further sequence numbers here either (its
-		// mailbox push is seq-free), so parity holds.
-		l.xq.push(p, arrival, l)
-		return
-	}
 	if c := l.chain; c != nil && c.active && !l.dstIsHost && l.eng.ChainableTo(arrival) {
 		// Hop chain: nothing is pending in (now, arrival], the arrival
 		// handler is the tail of the current (pure-arrival) event, and the
@@ -411,22 +378,13 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 	// path commits it, so delivery events carry identical sequence numbers
 	// in both modes and every same-instant tie breaks the same way. A link
 	// failure before serEnd tombstones the committed entry (see SetUp).
-	if l.xq != nil {
-		// Cross-domain link: the destination's engine belongs to another
-		// worker goroutine, so the arrival is exported to the (srcDomain,
-		// dstDomain) mailbox and scheduled there during the next window
-		// exchange. The propagation delay is at least the window size, so
-		// the arrival always lands beyond the window being executed.
-		l.xq.push(p, serEnd+l.prop, l)
-	} else {
-		// Delivery events for this link all share l.deliverFn; the inflight
-		// FIFO maps each firing back to its packet. That pairing is sound
-		// because serialization keeps arrival times strictly increasing,
-		// propagation delay is constant, and the engine breaks time ties in
-		// scheduling order.
-		l.inflight = append(l.inflight, p)
-		l.eng.At(serEnd+l.prop, l.deliverFn)
-	}
+	// Delivery events for this link all share l.deliverFn; the inflight
+	// FIFO maps each firing back to its packet. That pairing is sound
+	// because serialization keeps arrival times strictly increasing,
+	// propagation delay is constant, and the engine breaks time ties in
+	// scheduling order.
+	l.inflight = append(l.inflight, p)
+	l.eng.At(serEnd+l.prop, l.deliverFn)
 }
 
 func (l *Link) txDone(now sim.Time) {
@@ -472,7 +430,7 @@ func (l *Link) deliver(now sim.Time) {
 	l.dst.handle(p, l, now)
 }
 
-// chainFlag marks, per partition domain, that the currently executing
+// chainFlag marks, for the whole network, that the currently executing
 // event is a pure packet arrival — its only remaining work is the
 // destination handler — which is the context where idle-path sends may
 // legally chain hops synchronously.

@@ -146,11 +146,14 @@ func (cfg Config) Validate() error {
 	case c.NumSpines*c.LinksPerSpine > c.Params.MaxUplinks:
 		return fmt.Errorf("fabric: %d uplinks per leaf exceeds LBTag space %d",
 			c.NumSpines*c.LinksPerSpine, c.Params.MaxUplinks)
+	case !(c.AccessRateBps > 0):
+		// Written so NaN fails too; a negative rate would otherwise panic
+		// deep in NewLink.
+		return fmt.Errorf("fabric: AccessRateBps %v must be positive", c.AccessRateBps)
+	case !(c.FabricRateBps > 0):
+		return fmt.Errorf("fabric: FabricRateBps %v must be positive", c.FabricRateBps)
 	case c.FabricPropDelay <= 0:
-		// Zero lookahead would serialize (or deadlock) the space-parallel
-		// engine, whose window size is exactly this delay.
-		return fmt.Errorf("fabric: FabricPropDelay %v must be positive (it is the parallel-mode lookahead)",
-			c.FabricPropDelay)
+		return fmt.Errorf("fabric: FabricPropDelay %v must be positive", c.FabricPropDelay)
 	case c.AccessPropDelay <= 0:
 		return fmt.Errorf("fabric: AccessPropDelay %v must be positive", c.AccessPropDelay)
 	case len(c.LeafSchemes) > c.NumLeaves:
@@ -175,27 +178,11 @@ type Network struct {
 
 	fabricLinks []*Link
 	rng         *sim.Rand
-	pool        *PacketPool // pools[0]; the only pool when sequential
+	pool        *PacketPool
 
-	// Space-parallel partition state (see partition.go). A network built by
-	// NewNetwork has one domain: engines = [Engine], pools = [pool], no
-	// mailboxes. dreActive[d] lists domain d's fabric links with a nonzero
-	// DRE register (that domain's decay dirty-list); domFabIdx[d] /
-	// domLeafIdx[d] index fabricLinks / Leaves by owning domain for the
-	// per-domain tickers and series sampling.
-	domains    int
-	engines    []*sim.Engine
-	pools      []*PacketPool
-	dreActive  [][]*Link
-	domFabIdx  [][]int
-	domLeafIdx [][]int
-	mail       [][]*mailbox // mail[src][dst]; nil diagonal; nil when sequential
-	deliv      []*deliverer // per-domain cross-arrival injector; nil when sequential
-
-	// chainFlags[d] marks, while domain d executes a pure-arrival event,
-	// that idle sends may chain hops synchronously; nil when fusion is off
-	// (see Config.DisableFusion and Link.fastTransmit).
-	chainFlags []*chainFlag
+	// dreActive lists the fabric links with a nonzero DRE register: the
+	// decay ticker's dirty-list.
+	dreActive []*Link
 
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
 	// series probes are off. Samples are taken inside the existing ticker
@@ -212,19 +199,186 @@ type Network struct {
 }
 
 // noteDREActive is each fabric link's dreNotify hook: it runs on the first
-// transmission after the link's register drained to zero, in the link's
-// owning domain (transmission is domain-local).
-func (n *Network) noteDREActive(l *Link) { n.dreActive[l.dom] = append(n.dreActive[l.dom], l) }
+// transmission after the link's register drained to zero.
+func (n *Network) noteDREActive(l *Link) { n.dreActive = append(n.dreActive, l) }
 
 // Pool returns the network's packet pool. Transports normally allocate via
 // Host.NewPacket; the accessor exists for stats and tests.
 func (n *Network) Pool() *PacketPool { return n.pool }
 
 // NewNetwork builds the fabric described by cfg on the given engine and
-// starts the DRE decay and flowlet sweep tickers. It is the single-domain
-// case of NewPartitionedNetwork (see partition.go).
+// starts the DRE decay and flowlet sweep tickers.
 func NewNetwork(eng *sim.Engine, cfg Config) (*Network, error) {
-	return NewPartitionedNetwork([]*sim.Engine{eng}, cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
+	pool := &PacketPool{}
+	n := &Network{
+		Engine: eng,
+		Cfg:    cfg,
+		rng:    sim.NewRand(cfg.Seed),
+		pool:   pool,
+	}
+
+	// Hosts and leaves.
+	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
+		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, hostIndex: make(map[int]int)}
+		n.Leaves = append(n.Leaves, ls)
+		for i := 0; i < cfg.HostsPerLeaf; i++ {
+			hostID := leaf*cfg.HostsPerLeaf + i
+			h := newHost(hostID, leaf, pool)
+			h.out = NewLink(eng, LinkConfig{
+				Name:      fmt.Sprintf("h%d->l%d", hostID, leaf),
+				RateBps:   cfg.AccessRateBps,
+				PropDelay: cfg.AccessPropDelay,
+				BufBytes:  cfg.HostBufBytes,
+				Params:    cfg.Params,
+				Pool:      pool,
+			}, ls)
+			down := NewLink(eng, LinkConfig{
+				Name:      fmt.Sprintf("l%d->h%d", leaf, hostID),
+				RateBps:   cfg.AccessRateBps,
+				PropDelay: cfg.AccessPropDelay,
+				BufBytes:  cfg.EdgeBufBytes,
+				Params:    cfg.Params,
+				Pool:      pool,
+			}, h)
+			ls.hostIndex[hostID] = len(ls.downlinks)
+			ls.downlinks = append(ls.downlinks, down)
+			n.Hosts = append(n.Hosts, h)
+		}
+	}
+
+	// Spines and fabric links.
+	for s := 0; s < cfg.NumSpines; s++ {
+		ss := &SpineSwitch{ID: s, pool: pool, down: make([][]*Link, cfg.NumLeaves)}
+		n.Spines = append(n.Spines, ss)
+	}
+	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
+		ls := n.Leaves[leaf]
+		for s := 0; s < cfg.NumSpines; s++ {
+			ss := n.Spines[s]
+			for k := 0; k < cfg.LinksPerSpine; k++ {
+				rate := cfg.FabricRateBps
+				if cfg.FabricLinkRate != nil {
+					if r := cfg.FabricLinkRate(leaf, s, k); r > 0 {
+						rate = r
+					}
+				}
+				up := NewLink(eng, LinkConfig{
+					Name:      fmt.Sprintf("l%d->s%d.%d", leaf, s, k),
+					RateBps:   rate,
+					PropDelay: cfg.FabricPropDelay,
+					BufBytes:  cfg.FabricBufBytes,
+					Fabric:    true,
+					Params:    cfg.Params,
+					Pool:      pool,
+				}, ss)
+				down := NewLink(eng, LinkConfig{
+					Name:      fmt.Sprintf("s%d.%d->l%d", s, k, leaf),
+					RateBps:   rate,
+					PropDelay: cfg.FabricPropDelay,
+					BufBytes:  cfg.FabricBufBytes,
+					Fabric:    true,
+					Params:    cfg.Params,
+					Pool:      pool,
+				}, ls)
+				ls.uplinks = append(ls.uplinks, up)
+				ls.uplinkSpine = append(ls.uplinkSpine, s)
+				ss.down[leaf] = append(ss.down[leaf], down)
+				n.fabricLinks = append(n.fabricLinks, up, down)
+			}
+		}
+	}
+
+	// Strategies (need uplinks wired first); the RNG splits run in leaf ID
+	// order.
+	for _, ls := range n.Leaves {
+		ls.strategy = n.newStrategy(ls)
+	}
+
+	// Telemetry hooks and series (no-op when cfg.Telemetry is nil).
+	n.wireTelemetry(cfg.Telemetry)
+
+	// Idle-path cut-through: enabled unless explicitly disabled or a
+	// packet trace / live tap is attached (those observe per-event timing
+	// that fusion compresses; see DESIGN.md §3.9). The decision is static
+	// for the run, so the hot path tests a plain bool per send.
+	fuse := !cfg.DisableFusion
+	if cfg.Telemetry != nil {
+		o := cfg.Telemetry.Options()
+		if o.Trace || o.Tap || o.Hub != nil {
+			fuse = false
+		}
+	}
+	if fuse {
+		chain := &chainFlag{}
+		wire := func(l *Link) {
+			l.fuse = true
+			l.chain = chain
+		}
+		for _, l := range n.fabricLinks {
+			wire(l)
+		}
+		for _, h := range n.Hosts {
+			wire(h.out)
+		}
+		for _, ls := range n.Leaves {
+			for _, l := range ls.downlinks {
+				wire(l)
+			}
+		}
+	}
+
+	// DRE decay: one ticker drives the estimators of the links that carried
+	// traffic recently. Links register themselves on first transmission
+	// (Link.transmit) onto the dirty-list and are dropped once their
+	// register decays to zero, so an idle fabric does no per-link work per
+	// period. Telemetry rides this ticker for its queue/DRE samples instead
+	// of scheduling its own events, keeping the executed-event count
+	// identical either way.
+	notify := n.noteDREActive
+	for _, l := range n.fabricLinks {
+		l.dreNotify = notify
+	}
+	sim.NewTicker(eng, cfg.Params.TDRE, func(now sim.Time) {
+		act := n.dreActive
+		kept := act[:0]
+		for _, l := range act {
+			l.dre.Decay()
+			if l.dre.Active() {
+				kept = append(kept, l)
+			} else {
+				l.dreListed = false
+			}
+		}
+		for i := len(kept); i < len(act); i++ {
+			act[i] = nil
+		}
+		n.dreActive = kept
+		if n.telQueue != nil {
+			n.sampleLinkSeries(now)
+		}
+		if n.telStale != nil {
+			n.sampleStaleness(now)
+		}
+		// The streaming tap publishes here too: the DRE tick is an
+		// existing safe point, so snapshot handoff adds no events and the
+		// executed-event count stays identical with a tap attached.
+		n.tel.PublishTap(now)
+	})
+	// Flowlet age sweep per leaf, every Tfl; telemetry samples table
+	// occupancy and congestion-table metrics on the same tick.
+	sim.NewTicker(eng, cfg.Params.Tfl, func(now sim.Time) {
+		for _, ls := range n.Leaves {
+			ls.strategy.Tick(now)
+		}
+		if n.telFlowlet != nil {
+			n.sampleLeafSeries(now)
+		}
+	})
+	return n, nil
 }
 
 // flowletCarrier is implemented by strategies that keep a flowlet table
@@ -251,10 +405,7 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 	}
 	for _, h := range n.Hosts {
 		hook(h.out)
-		// Per-domain shard so concurrent domains never share a counter
-		// cache line; shard 0 is the registry's own TCP block, so a
-		// sequential network is wired exactly as before.
-		h.tcpTel = reg.TCPShard(h.Leaf % n.domains)
+		h.tcpTel = reg.TCP()
 		h.trace = tr
 		h.traceName = fmt.Sprintf("h%d", h.ID)
 	}
@@ -297,8 +448,7 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 			continue
 		}
 		cl := cc.Core()
-		// Decision-plane hooks: per-leaf structs, written only by the
-		// owning leaf's domain, so they need no parallel-mode rejection.
+		// Decision-plane hooks: one struct per leaf.
 		if h := reg.Decisions(leafID, len(ls.uplinks), len(n.Leaves)); h != nil {
 			cl.Hooks = h
 			ls.decisions = h
@@ -318,13 +468,10 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// sampleLinkSeries records queue depth and DRE register for domain d's
-// fabric links; called from that domain's DRE-decay ticker when series
-// probes are on. Each series is only ever touched by its link's owning
-// domain, so parallel domains sample concurrently without sharing.
-func (n *Network) sampleLinkSeries(d int, now sim.Time) {
-	for _, i := range n.domFabIdx[d] {
-		l := n.fabricLinks[i]
+// sampleLinkSeries records queue depth and DRE register for every fabric
+// link; called from the DRE-decay ticker when series probes are on.
+func (n *Network) sampleLinkSeries(now sim.Time) {
+	for i, l := range n.fabricLinks {
 		n.telQueue[i].Observe(now, float64(l.qlen))
 		n.telDRE[i].Observe(now, l.dre.X())
 	}
@@ -336,9 +483,8 @@ func (n *Network) sampleLinkSeries(d int, now sim.Time) {
 // DRE-decay ticker (the same safe point that samples link series and
 // publishes taps); windows with no aged decisions leave a gap instead of
 // fabricating a zero.
-func (n *Network) sampleStaleness(d int, now sim.Time) {
-	for _, i := range n.domLeafIdx[d] {
-		h := n.telHooks[i]
+func (n *Network) sampleStaleness(now sim.Time) {
+	for i, h := range n.telHooks {
 		if h == nil {
 			continue
 		}
@@ -349,10 +495,10 @@ func (n *Network) sampleStaleness(d int, now sim.Time) {
 }
 
 // sampleLeafSeries records flowlet-table occupancy and per-uplink
-// CongestionToLeaf max metrics for domain d's leaves; called from that
-// domain's flowlet-sweep ticker.
-func (n *Network) sampleLeafSeries(d int, now sim.Time) {
-	for _, i := range n.domLeafIdx[d] {
+// CongestionToLeaf max metrics for every leaf; called from the
+// flowlet-sweep ticker.
+func (n *Network) sampleLeafSeries(now sim.Time) {
+	for i := range n.Leaves {
 		if s := n.telFlowlet[i]; s != nil {
 			s.Observe(now, float64(n.telFlTables[i].Live()))
 		}

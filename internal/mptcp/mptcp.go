@@ -257,10 +257,8 @@ func (f *Flow) FCT(done sim.Time) sim.Time { return done - f.Started }
 // path fully resets per-transfer protocol state. A nil *Pool is valid
 // everywhere and falls back to fresh allocation.
 type Pool struct {
-	conns      []*Connection
-	splitConns []*Connection // sender-only connections for cross-domain flows (split.go)
-	flows      []*Flow
-	halves     []*HalfFlow
+	conns []*Connection
+	flows []*Flow
 
 	// Allocs counts pool misses; Recycled counts connections reused.
 	ConnAllocs   uint64

@@ -28,6 +28,16 @@ import (
 // binaryMagic opens the (pre-gzip) binary stream.
 const binaryMagic = "CONGARPL"
 
+// maxFlows bounds a header's flow count: far beyond any simulated run, so
+// a larger count can only be corruption or forgery.
+const maxFlows = 1 << 31
+
+// preallocFlows caps how many arrivals a decoder reserves room for from
+// the header's count before reading any: a forged count then costs at most
+// this much memory up front, while an honest larger trace still decodes in
+// one pass, growing by append.
+const preallocFlows = 1 << 16
+
 // jsonHeader is Header's wire form. The fingerprint travels as a hex
 // string: JSON numbers above 2^53 aren't safe in every consumer, and hex is
 // what the CLI prints anyway.
@@ -56,6 +66,9 @@ func (h Header) wire() jsonHeader {
 }
 
 func (j jsonHeader) header() (Header, error) {
+	if j.Flows < 0 || j.Flows > maxFlows {
+		return Header{}, fmt.Errorf("corrupt trace: implausible flow count %d", j.Flows)
+	}
 	var fp uint64
 	if j.TopoFP != "" {
 		if _, err := fmt.Sscanf(j.TopoFP, "%x", &fp); err != nil {
@@ -108,7 +121,12 @@ func Read(path string) (*Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	return read(f, path)
+}
+
+// read is Read over an open stream; name labels errors.
+func read(r io.Reader, path string) (*Trace, error) {
+	br := bufio.NewReader(r)
 	magic, err := br.Peek(2)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %s: not a replay trace (%w)", path, err)
@@ -182,7 +200,7 @@ func (t *Trace) writeNDJSON(w io.Writer) error {
 
 func readNDJSON(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MB; the buffer grows on demand
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, err
@@ -201,7 +219,7 @@ func readNDJSON(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Header: h, Flows: make([]Flow, 0, h.Flows)}
+	t := &Trace{Header: h, Flows: make([]Flow, 0, min(h.Flows, preallocFlows))}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -336,10 +354,7 @@ func readBinary(r io.Reader) (*Trace, error) {
 		kinds[i] = string(kb)
 	}
 
-	if h.Flows < 0 || h.Flows > 1<<31 {
-		return nil, fmt.Errorf("corrupt trace: implausible flow count %d", h.Flows)
-	}
-	t := &Trace{Header: h, Flows: make([]Flow, 0, h.Flows)}
+	t := &Trace{Header: h, Flows: make([]Flow, 0, min(h.Flows, preallocFlows))}
 	var prevAt sim.Time
 	var prevID uint64
 	for i := 0; i < h.Flows; i++ {

@@ -6,8 +6,8 @@
 // confounded by workload noise. A replay trace removes that noise: it
 // captures the exact flow-arrival sequence of one run — (start, src, dst,
 // size, kind) per flow — so the identical offered load can be re-injected
-// into any scheme, fabric configuration, or engine (sequential or
-// space-parallel) for an apples-to-apples, matched-pairs comparison.
+// into any scheme or fabric configuration for an apples-to-apples,
+// matched-pairs comparison.
 //
 // A trace is a Header plus a flat arrival list. The header carries
 // provenance (scheme, workload, load, seed, duration of the recording run)

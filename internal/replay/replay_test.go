@@ -145,6 +145,11 @@ func TestCorruptTracesFailLoudly(t *testing.T) {
 		{"truncated gzip", write("trunc.gz", rawGz[:len(rawGz)/2]), ""},
 		{"flipped gzip byte", write("flip.gz", append(append([]byte{}, rawGz[:len(rawGz)-4]...), 0, 0, 0, 0)), ""},
 		{"empty file", write("empty.ndjson", nil), ""},
+		{"negative flow count", write("negflows.ndjson", []byte(`{"replay_trace":{"version":1,"flows":-1}}`+"\n")), "implausible flow count"},
+		{"huge flow count", write("hugeflows.ndjson", []byte(`{"replay_trace":{"version":1,"flows":1099511627776}}`+"\n")), "implausible flow count"},
+		// Plausible but unbacked: the decoder must not reserve 2e9
+		// arrivals up front, and Validate then refuses the short file.
+		{"unbacked flow count", write("unbacked.ndjson", []byte(`{"replay_trace":{"version":1,"flows":2000000000}}`+"\n")), "header promises"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -22,15 +22,15 @@
 // recycling via a per-event generation counter.
 //
 // Periodic Tickers never enter the queue. The engine keeps its armed
-// tickers beside the wheel, the far heap and the Splice streams, caches the
-// earliest one's (time, seq), and the run loop compares that cache against
-// the queue minimum — one compare per event in the common case. A tick
-// holds a sequence number like any event: the first is taken at NewTicker,
+// tickers beside the wheel and the far heap, caches the earliest one's
+// (time, seq), and the run loop compares that cache against the queue
+// minimum — one compare per event in the common case. A tick holds a
+// sequence number like any event: the first is taken at NewTicker,
 // each re-arm takes the next one after the tick's callback returns, so
 // every (time, seq) tie is exactly that of a ticker rescheduling itself
-// with At. Armed tickers count in Pending but not in Live: on their own
-// they do not keep Run(MaxTime) going. See DESIGN.md for the bucket-sizing
-// and determinism argument.
+// with At. Armed tickers count in Pending, but on their own they do not
+// keep Run(MaxTime) going. See DESIGN.md for the bucket-sizing and
+// determinism argument.
 package sim
 
 import (
@@ -184,13 +184,6 @@ type Engine struct {
 
 	free []*scheduledEvent // recycled event objects
 
-	// Splice streams: batches of pre-sorted same-callback firings that
-	// bypass per-event wheel insertion (see Splice). Streams are consulted
-	// alongside the wheel/heap minimum at every pop, so their entries
-	// execute in exact (time, seq) order relative to ordinary events.
-	streams  []spliceStream
-	timeBufs [][]Time // recycled stream time buffers
-
 	// runUntil is the bound of the Run call currently executing (MaxTime
 	// for unbounded runs, 0 outside Run). ChainableTo uses it so callers
 	// collapsing future work into the current event can never run work the
@@ -201,16 +194,6 @@ type Engine struct {
 	// fabric's cut-through fast path compares it against reserved sequence
 	// numbers to replay the slow path's exact tie-breaking (see ReserveSeq).
 	curSeq uint64
-}
-
-// spliceStream is one Splice batch: len(times)-head firings of fn at
-// ascending times, holding the consecutive sequence numbers seq0+head… so
-// the whole batch preserves its submission order against ordinary events.
-type spliceStream struct {
-	times []Time
-	head  int
-	seq0  uint64
-	fn    Event
 }
 
 // New returns an engine with the clock at zero.
@@ -227,14 +210,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // this count.
 func (e *Engine) Pending() int { return e.pending }
 
-// Live returns the number of pending events other than armed ticks. The
-// window runner (ParallelEngine) sums it across domains to decide global
-// termination, the same criterion Run(MaxTime) applies to a single engine.
-func (e *Engine) Live() int { return e.pending - e.armed }
-
-// NextAt returns the timestamp of the earliest pending event (tick or not,
-// scheduled or spliced) and whether one exists. Peeking may cascade the
-// timing wheel but never reorders or executes anything.
+// NextAt returns the timestamp of the earliest pending event (tick or not)
+// and whether one exists. Peeking may cascade the timing wheel but never
+// reorders or executes anything.
 func (e *Engine) NextAt() (Time, bool) {
 	var t Time
 	ok := false
@@ -243,12 +221,6 @@ func (e *Engine) NextAt() (Time, bool) {
 	}
 	if ev := e.nextEvent(); ev != nil && (!ok || ev.at < t) {
 		t, ok = ev.at, true
-	}
-	for i := range e.streams {
-		st := &e.streams[i]
-		if at := st.times[st.head]; !ok || at < t {
-			t, ok = at, true
-		}
 	}
 	return t, ok
 }
@@ -267,61 +239,6 @@ func (e *Engine) ChainableTo(t Time) bool {
 		return false
 	}
 	return true
-}
-
-// Splice schedules one firing of fn per entry of times, which must be
-// ascending (ties allowed) and not in the past. The whole batch costs one
-// buffer copy instead of len(times) queue insertions, and the entries take
-// consecutive sequence numbers as if scheduled back-to-back at the call —
-// so interleaving with ordinary events is exactly that of a loop over At,
-// only cheaper. Entries keep Run(MaxTime) alive like At events and cannot
-// be cancelled. times is copied; the caller may reuse it immediately.
-func (e *Engine) Splice(times []Time, fn Event) {
-	n := len(times)
-	if n == 0 {
-		return
-	}
-	prev := e.now
-	for _, t := range times {
-		if t < prev {
-			panic(fmt.Sprintf("sim: Splice times must be ascending and not before now %v (got %v after %v)", e.now, t, prev))
-		}
-		prev = t
-	}
-	var buf []Time
-	if k := len(e.timeBufs); k > 0 {
-		buf = e.timeBufs[k-1]
-		e.timeBufs = e.timeBufs[:k-1]
-	}
-	buf = append(buf[:0], times...)
-	e.streams = append(e.streams, spliceStream{times: buf, seq0: e.nextSeq, fn: fn})
-	e.nextSeq += uint64(n)
-	e.pending += n
-}
-
-// streamMinIdx returns the index of the stream whose head entry is the
-// (time, seq) minimum across all active streams, or −1 when none exist.
-func (e *Engine) streamMinIdx() int {
-	best := -1
-	var bt Time
-	var bs uint64
-	for i := range e.streams {
-		st := &e.streams[i]
-		at, seq := st.times[st.head], st.seq0+uint64(st.head)
-		if best < 0 || at < bt || (at == bt && seq < bs) {
-			best, bt, bs = i, at, seq
-		}
-	}
-	return best
-}
-
-// dropStream recycles stream i's buffer once its entries are spent.
-func (e *Engine) dropStream(i int) {
-	e.timeBufs = append(e.timeBufs, e.streams[i].times[:0])
-	last := len(e.streams) - 1
-	e.streams[i] = e.streams[last]
-	e.streams[last] = spliceStream{}
-	e.streams = e.streams[:last]
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -534,12 +451,11 @@ func (e *Engine) remove(ev *scheduledEvent) {
 // wheelMin returns the earliest event resident in the wheel, cascading
 // overflow buckets toward level 0 as needed; nil when the wheel is empty,
 // or when level 0 is empty and the next tick precedes every overflow level.
-// Cascading then would push the windows past the tick, and anything
-// scheduled before the new base — by the tick, or by a parallel window's
-// exchange after a NextAt peek — would fall back to the far heap. Within a
-// level, slot index order is time order (each window is a suffix of one
-// aligned block) and bucket FIFO order is seq order, so the head of the
-// lowest occupied level-0 slot is the exact (time, seq) minimum.
+// Cascading then would push the windows past the tick, and anything the
+// tick scheduled before the new base would fall back to the far heap.
+// Within a level, slot index order is time order (each window is a suffix
+// of one aligned block) and bucket FIFO order is seq order, so the head of
+// the lowest occupied level-0 slot is the exact (time, seq) minimum.
 func (e *Engine) wheelMin() *scheduledEvent {
 	for {
 		if e.l0sum != 0 {
@@ -721,58 +637,16 @@ func (e *Engine) Run(until Time) Time {
 		if until == MaxTime && e.pending == e.armed {
 			break
 		}
-		var next *scheduledEvent
-		if len(e.streams) > 0 {
-			// Splice streams are live (a parallel window): peek, compare
-			// against the stream and tick minima, and only then remove.
-			next = e.nextEvent()
-			if next != nil && e.tickFirst(next) {
-				next = nil
-			}
-			if si := e.streamMinIdx(); si >= 0 {
-				st := &e.streams[si]
-				at, seq := st.times[st.head], st.seq0+uint64(st.head)
-				minAt, minSeq := e.tickAt, e.tickSeq
-				if next != nil {
-					minAt, minSeq = next.at, next.seq
-				}
-				if at < minAt || (at == minAt && seq < minSeq) {
-					if at > until {
-						e.now = until
-						return e.now
-					}
-					fn := st.fn
-					e.curSeq = seq
-					st.head++
-					if st.head == len(st.times) {
-						e.dropStream(si)
-					}
-					e.pending--
-					e.now = at
-					e.executed++
-					fn(e.now)
-					continue
-				}
-			}
-			if next != nil {
-				if next.at > until {
-					e.now = until
-					return e.now
-				}
-				e.remove(next)
-			}
-		} else {
-			// No streams: pop the minimum directly. If it lies beyond the
-			// bounded run it goes back into the wheel (restoring its
-			// bucket-head position — it was the minimum, so it re-enters
-			// its slot with the smallest seq) for a later Run to find.
-			next = e.popMin()
-			if next != nil && next.at > until {
-				e.now = until
-				e.place(next)
-				e.restoreBucketOrder(next)
-				return e.now
-			}
+		// Pop the minimum. If it lies beyond the bounded run it goes back
+		// into the wheel (restoring its bucket-head position — it was the
+		// minimum, so it re-enters its slot with the smallest seq) for a
+		// later Run to find.
+		next := e.popMin()
+		if next != nil && next.at > until {
+			e.now = until
+			e.place(next)
+			e.restoreBucketOrder(next)
+			return e.now
 		}
 		if next == nil {
 			// The next tick comes first; pending > 0, so one is armed.
@@ -821,19 +695,6 @@ func (e *Engine) farPush(ev *scheduledEvent) {
 	ev.lvl = locFar
 	e.far = append(e.far, ev)
 	e.siftUp(len(e.far)-1, ev)
-}
-
-// farPopRoot removes the minimum far event.
-func (e *Engine) farPopRoot() {
-	q := e.far
-	q[0].lvl = locNone
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	e.far = q[:n]
-	if n > 0 {
-		e.siftDown(0, last)
-	}
 }
 
 // farRemove deletes the far event at index i, restoring heap order.

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// refItem is one pending firing in the reference model: an ordinary event,
-// a spliced entry or a tick.
+// refItem is one pending firing in the reference model: an ordinary event
+// or a tick.
 type refItem struct {
 	at   Time
 	seq  uint64
@@ -104,7 +104,6 @@ type sched interface {
 	at(t Time, id int) func() bool // returns the cancel function
 	reserveSeq() uint64
 	atSeq(t Time, id int, seq uint64) func() bool
-	splice(times []Time, id int)
 	newTicker(period Time, id int) func() // returns Stop
 	stop()
 	run(until Time) Time
@@ -129,15 +128,16 @@ func (s *engineSched) at(t Time, id int) func() bool {
 func (s *engineSched) atSeq(t Time, id int, seq uint64) func() bool {
 	return s.e.AtSeq(t, func(Time) { s.fire(id) }, seq).Cancel
 }
-func (s *engineSched) splice(times []Time, id int) {
-	s.e.Splice(times, func(Time) { s.fire(id) })
-}
 func (s *engineSched) newTicker(period Time, id int) func() {
 	return NewTicker(s.e, period, func(Time) { s.fire(id) }).Stop
 }
 func (s *engineSched) counts() (uint64, int, int) {
-	return s.e.Executed(), s.e.Pending(), s.e.Live()
+	return s.e.Executed(), s.e.Pending(), live(s.e)
 }
+
+// live counts pending events other than armed ticks: the work that keeps
+// Run(MaxTime) going.
+func live(e *Engine) int { return e.pending - e.armed }
 
 func (r *refEngine) now() Time          { return r.clock }
 func (r *refEngine) curSeq() uint64     { return r.cur }
@@ -158,12 +158,6 @@ func (r *refEngine) cancelFn(it *refItem) func() bool {
 		}
 		r.remove(it)
 		return true
-	}
-}
-func (r *refEngine) splice(times []Time, id int) {
-	for _, t := range times {
-		r.push(t, r.nextSeq, id, nil)
-		r.nextSeq++
 	}
 }
 func (r *refEngine) newTicker(period Time, id int) func() {
@@ -241,13 +235,12 @@ func (d *randDriver) ops(n int) {
 				d.cancels[d.r.Intn(k)]()
 			}
 		case 4:
-			times := make([]Time, 1+d.r.Intn(4))
+			// A burst of events at ascending, often equal, times.
 			t := now
-			for j := range times {
+			for j := 1 + d.r.Intn(4); j > 0; j-- {
 				t += 5 * Time(d.r.Intn(4))
-				times[j] = t
+				d.cancels = append(d.cancels, d.s.at(t, id))
 			}
-			d.s.splice(times, id)
 		case 5, 6:
 			period := 5 * Time(1+d.r.Intn(8))
 			if d.r.Intn(6) == 0 {
@@ -286,7 +279,7 @@ func newRandDriver(s sched, seed uint64, budget int) *randDriver {
 }
 
 // TestTickerEquivalenceRandomized drives Engine and the naive reference
-// with identical random mixes of At, AtSeq, Cancel, Splice, NewTicker,
+// with identical random mixes of At, AtSeq, Cancel, NewTicker,
 // Ticker.Stop (including from the ticker's own callback) and Engine.Stop,
 // interleaved with bounded and unbounded Runs, and requires identical
 // (now, CurSeq, id) traces and identical Executed, Pending and Live.
@@ -373,8 +366,8 @@ func TestRunMaxTimeStopsWithOnlyTicks(t *testing.T) {
 	if end := e.Run(MaxTime); end != 0 || ticks != 0 || e.Executed() != 0 {
 		t.Fatalf("Run(MaxTime) with only ticks: end %v, ticks %d", end, ticks)
 	}
-	if e.Pending() != 2 || e.Live() != 0 {
-		t.Fatalf("pending %d live %d, want 2 armed ticks and nothing live", e.Pending(), e.Live())
+	if e.Pending() != 2 || live(e) != 0 {
+		t.Fatalf("pending %d live %d, want 2 armed ticks and nothing live", e.Pending(), live(e))
 	}
 	e.Run(50) // ticks at 10, 20, 25, 30, 40, 50, 50
 	if ticks != 7 || e.Now() != 50 || e.Pending() != 2 {
@@ -410,5 +403,79 @@ func TestZeroValueEngineTicker(t *testing.T) {
 	}
 	if z.tickAt != MaxTime || z.tickSeq != math.MaxUint64 {
 		t.Fatal("Run must leave the no-ticker sentinel in place")
+	}
+}
+
+// TestChainableTo pins the cut-through legality test: chainable exactly
+// when (now, t] is event-free — pending ticks included — and t does not
+// cross the Run bound.
+func TestChainableTo(t *testing.T) {
+	e := New()
+	var got []bool
+	e.At(10, func(Time) {
+		got = append(got,
+			e.ChainableTo(14), // nothing until 15: ok
+			e.ChainableTo(15), // event exactly at 15 blocks
+			e.ChainableTo(60), // past it too
+		)
+	})
+	e.At(15, func(Time) {
+		got = append(got,
+			e.ChainableTo(29), // nothing until the tick at 30: ok
+			e.ChainableTo(30), // the pending tick blocks
+		)
+	})
+	NewTicker(e, 30, func(now Time) {
+		got = append(got,
+			e.ChainableTo(35), // next tick at 60, within bound: ok
+			e.ChainableTo(50), // exactly the Run bound: ok (closed interval)
+			e.ChainableTo(51), // past the Run bound
+		)
+	})
+	e.Run(50)
+	want := []bool{true, false, false, true, false, true, true, false}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ChainableTo results %v, want %v", got, want)
+		}
+	}
+	// Outside Run nothing is chainable (runUntil is reset).
+	if e.ChainableTo(100) {
+		t.Fatal("ChainableTo must be false outside Run")
+	}
+}
+
+// TestNextAtSeesPendingTick checks that NextAt reports an armed tick,
+// alone and against queued events on either side of it, and that a
+// bounded Run leaves the tick beyond its bound pending.
+func TestNextAtSeesPendingTick(t *testing.T) {
+	e := New()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on an empty engine should report nothing")
+	}
+	tk := NewTicker(e, 30, func(Time) {})
+	if at, ok := e.NextAt(); !ok || at != 30 {
+		t.Fatalf("NextAt = %v %v, want the tick at 30", at, ok)
+	}
+	e.At(40, func(Time) {})
+	e.At(50, func(Time) {})
+	if at, _ := e.NextAt(); at != 30 {
+		t.Fatalf("NextAt = %v, want the tick at 30 ahead of later events", at)
+	}
+	e.At(20, func(Time) {})
+	if at, _ := e.NextAt(); at != 20 {
+		t.Fatalf("NextAt = %v, want the event at 20 ahead of the tick", at)
+	}
+	e.Run(45) // runs 20, tick 30, 40; next tick at 60 stays pending
+	if at, _ := e.NextAt(); at != 50 || e.Pending() != 2 || live(e) != 1 {
+		t.Fatalf("after Run(45): NextAt %v, pending %d, live %d; want 50, 2, 1", at, e.Pending(), live(e))
+	}
+	e.Run(55)
+	if at, ok := e.NextAt(); !ok || at != 60 {
+		t.Fatalf("NextAt = %v %v, want the re-armed tick at 60", at, ok)
+	}
+	tk.Stop()
+	if _, ok := e.NextAt(); ok || e.Pending() != 0 {
+		t.Fatalf("stopped ticker still visible: pending %d", e.Pending())
 	}
 }

@@ -174,28 +174,6 @@ func (s *Sample) sort() {
 	}
 }
 
-// Merge folds every observation of o into s. Both samples must be
-// unbounded — merging reservoirs would need weighted subsampling to stay
-// uniform, which no caller needs — so it panics on a Reservoir sample.
-func (s *Sample) Merge(o *Sample) {
-	if s.limit > 0 || o.limit > 0 {
-		panic("stats: Merge on a reservoir-mode sample")
-	}
-	if o.seen == 0 {
-		return
-	}
-	if s.seen == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.seen == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.seen += o.seen
-	s.sum += o.sum
-	s.values = append(s.values, o.values...)
-	s.sorted = false
-}
-
 // FCT size buckets follow §5.2: small < 100 KB, large > 10 MB.
 const (
 	SmallFlowMax = 100 << 10
@@ -281,21 +259,6 @@ func (r *FCTRecorder) Record(size int64, fct, optimal sim.Time) {
 			r.LargeNorm.Add(norm)
 		}
 	}
-}
-
-// Merge folds o's completions into r. The space-parallel harness keeps one
-// recorder per domain and merges them in domain order after the run; like
-// Sample.Merge it requires unbounded (non-Reservoir) recorders.
-func (r *FCTRecorder) Merge(o *FCTRecorder) {
-	r.Overall.Merge(&o.Overall)
-	r.OverallNorm.Merge(&o.OverallNorm)
-	r.Small.Merge(&o.Small)
-	r.SmallNorm.Merge(&o.SmallNorm)
-	r.Large.Merge(&o.Large)
-	r.LargeNorm.Merge(&o.LargeNorm)
-	r.Bytes += o.Bytes
-	r.Flows += o.Flows
-	r.OptimalSum += o.OptimalSum
 }
 
 // String summarizes the recorder for logs.

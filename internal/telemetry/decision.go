@@ -204,9 +204,8 @@ func (tr *DecisionTrace) Info() CaptureInfo {
 // DecisionHooks is the per-leaf decision-plane hook struct: core.Leaf holds
 // a nil pointer to one (zero overhead when off) and reports every
 // SelectUplink outcome through it. Each instance is written only by its
-// owning leaf, so the space-parallel engine needs no sharding: leaves are
-// domain-owned and the per-leaf structs merge deterministically (leaf
-// order) at flush.
+// owning leaf; the per-leaf structs merge deterministically (leaf order)
+// at flush.
 type DecisionHooks struct {
 	Leaf    int
 	uplinks int
@@ -365,8 +364,7 @@ func (r *Registry) DecisionHooksAll() []*DecisionHooks {
 }
 
 // PathRows returns the non-empty path load matrix cells across every leaf,
-// in (leaf, uplink, dstLeaf) order — the deterministic merge of the
-// per-domain shards under the parallel engine.
+// in (leaf, uplink, dstLeaf) order.
 func (r *Registry) PathRows() []PathRow {
 	if r == nil {
 		return nil

@@ -64,12 +64,10 @@ type Options struct {
 	TraceStopAfter int
 	// Decisions enables the decision-plane hooks: per-leaf flowlet routing
 	// reason counters, per-(uplink, dstLeaf) path load matrices, and the
-	// feedback-staleness series. Per-leaf state only, so it works under the
-	// space-parallel engine.
+	// feedback-staleness series.
 	Decisions bool
 	// DecisionTrace additionally records individual SelectUplink outcomes
-	// into one bounded audit buffer (requires Decisions). A single shared
-	// buffer, so it is rejected under the parallel engine.
+	// into one bounded audit buffer (requires Decisions).
 	DecisionTrace bool
 	// DecisionCap bounds the decision trace (default 65536).
 	DecisionCap int
@@ -182,11 +180,6 @@ type Registry struct {
 	links   []*LinkCounters
 	linkIdx map[string]*LinkCounters
 	tcp     TCPCounters
-	// tcpShards holds extra TCP counter blocks for the space-parallel
-	// engine: shard 0 is r.tcp itself, shard d>0 is tcpShards[d-1], so a
-	// sequential run is wired exactly as before. Each shard is written by
-	// one domain goroutine only; TCPTotals sums them all.
-	tcpShards []*TCPCounters
 
 	flowlets []FlowletRow
 
@@ -260,23 +253,6 @@ func (r *Registry) TCP() *TCPCounters {
 		return nil
 	}
 	return &r.tcp
-}
-
-// TCPShard returns the TCP counter block for partition domain d, creating
-// shards on first use. Shard 0 is the registry's own block (== TCP()), so
-// sequential callers see no difference. Shards must be created before the
-// run starts; the accessor is not goroutine-safe.
-func (r *Registry) TCPShard(d int) *TCPCounters {
-	if r == nil || !r.opts.Counters {
-		return nil
-	}
-	if d == 0 {
-		return &r.tcp
-	}
-	for len(r.tcpShards) < d {
-		r.tcpShards = append(r.tcpShards, &TCPCounters{})
-	}
-	return r.tcpShards[d-1]
 }
 
 // Trace returns the packet trace, or nil when tracing is disabled.
@@ -417,21 +393,13 @@ func (r *Registry) LinkTotals() (enq, deq, drops, ceMarks uint64) {
 	return
 }
 
-// TCPTotals returns the engine-wide TCP counters summed over every
-// partition shard (just the base block for a sequential run).
+// TCPTotals returns a copy of the engine-wide TCP counters (zero for a
+// nil registry).
 func (r *Registry) TCPTotals() TCPCounters {
 	if r == nil {
 		return TCPCounters{}
 	}
-	t := r.tcp
-	for _, s := range r.tcpShards {
-		t.Retransmits += s.Retransmits
-		t.Timeouts += s.Timeouts
-		t.FastRetx += s.FastRetx
-		t.DupAcks += s.DupAcks
-		t.ReorderDefers += s.ReorderDefers
-	}
-	return t
+	return r.tcp
 }
 
 // FlowletTotals sums the per-leaf flowlet rows (valid after Collect).

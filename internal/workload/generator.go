@@ -180,9 +180,9 @@ type Arrival struct {
 // Pregenerate draws the entire arrival sequence up front instead of
 // scheduling live events, consuming the RNG in exactly the order the live
 // process would (gap, then source, destination and size per arrival), so a
-// pregenerated run offers the identical workload to a Started one. The
-// space-parallel harness uses it to distribute arrivals across per-domain
-// engines before the run begins. Counters (Generated, OfferedBytes) are
+// pregenerated run offers the identical workload to a Started one.
+// perfbench uses it to size each benchmark run's arrival prefix before the
+// run begins. Counters (Generated, OfferedBytes) are
 // updated as if the flows had launched; a pregenerated generator must not
 // also be Started.
 func (g *Generator) Pregenerate() []Arrival {

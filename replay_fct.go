@@ -109,17 +109,6 @@ func (r *replayInjector) inject(now sim.Time) {
 	}
 }
 
-// traceFromArrivals seals a trace from a fully materialized arrival list
-// (the parallel path, which pregenerates; the sequential path records live
-// through an Observe hook instead).
-func (cfg FCTConfig) traceFromArrivals(workloadName string, arrivals []workload.Arrival) *replay.Trace {
-	rec := &replay.Recorder{Header: cfg.traceHeader(workloadName)}
-	for _, a := range arrivals {
-		rec.Add(replay.Flow{At: a.At, Src: a.Src, Dst: a.Dst, FlowID: a.FlowID, Size: a.Size, Kind: replay.KindWorkload})
-	}
-	return rec.Trace()
-}
-
 // traceProvenance is the one-line run ancestry string stamped into
 // telemetry sink headers, so flushed data always names the workload that
 // drove it. verb is "replay" or "record".

@@ -2,7 +2,6 @@ package conga
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"conga/internal/runner"
@@ -39,12 +38,6 @@ type ScaleConfig struct {
 	MaxFlows int
 
 	Seed uint64
-
-	// Parallel, when > 1, runs each cell space-parallel across that many
-	// domain engines (FCTConfig.Parallel). The sweep's own cell-level
-	// worker pool shrinks by the same factor so the two levels of
-	// parallelism do not oversubscribe the machine.
-	Parallel int
 }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
@@ -120,7 +113,6 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 				Duration:  c.Duration,
 				MaxFlows:  c.MaxFlows,
 				Seed:      c.Seed,
-				Parallel:  c.Parallel,
 			})
 			pts = append(pts, ScalePoint{
 				Leaves:     leaves,
@@ -147,16 +139,7 @@ func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error), 
 		return nil, fmt.Errorf("conga: scale sweep needs %d uplinks per leaf, LBTag space allows %d", got, max)
 	}
 	cfgs, pts := cfg.expand()
-	// With space-parallel cells each run already occupies cfg.Parallel
-	// cores; divide the cell-level pool so total goroutines ≈ NumCPU.
-	workers := 0
-	if cfg.Parallel > 1 {
-		workers = runtime.NumCPU() / cfg.Parallel
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	results, err := runner.MapStreamP(workers, cfgs, RunFCT, func(i int, r *FCTResult, err error) {
+	results, err := runner.MapStreamP(0, cfgs, RunFCT, func(i int, r *FCTResult, err error) {
 		if emit != nil {
 			pts[i].Result = r
 			emit(i, pts[i], err)

@@ -53,9 +53,8 @@ import (
 
 // benchLine matches a benchmark result line, e.g.
 // "BenchmarkFig09Enterprise-8  1  6.2e+08 ns/op  5265648 B/op  634045 allocs/op  5086806 events/op  1.912 normFCT".
-// The -N suffix is GOMAXPROCS, captured so the speedup gate can tell
-// whether the machine had enough cores for a parallel run to mean anything.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+(.*)$`)
+// The -N (GOMAXPROCS) suffix is not part of the name.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // metricPair matches one "<value> <unit>" measurement within the line tail.
 var metricPair = regexp.MustCompile(`([\d.eE+-]+)\s+([^\s]+)`)
@@ -101,10 +100,6 @@ func main() {
 			"comma-separated benchmarks that must be present in the output")
 		nsBenches = flag.String("ns-benches", "BenchmarkEngineRaw",
 			"comma-separated benchmarks whose ns/op is gated; others only gate events/op and allocs/op (single-iteration figure runs are too wall-clock-noisy across machines)")
-		speedups = flag.String("speedup", "",
-			"comma-separated FAST:SLOW:RATIO triples: FAST's ns/op must beat SLOW's by at least RATIO× (e.g. BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5)")
-		speedupMinProcs = flag.Int("speedup-min-procs", 8,
-			"skip the -speedup gates (with a loud warning) when the run had fewer GOMAXPROCS than this — a starved machine cannot show parallel speedup")
 		updatePath = flag.String("update", "",
 			"write a regenerated baseline to this path instead of gating; benchmarks missing from the output are carried forward from -baseline")
 		expectEventsChange = flag.Bool("expect-events-change", false,
@@ -136,7 +131,6 @@ func main() {
 	}
 
 	results := map[string]measured{}
-	procs := map[string]int{}
 	env := map[string]string{}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
@@ -150,7 +144,7 @@ func main() {
 			continue
 		}
 		got := measured{}
-		for _, pair := range metricPair.FindAllStringSubmatch(m[3], -1) {
+		for _, pair := range metricPair.FindAllStringSubmatch(m[2], -1) {
 			v, err := strconv.ParseFloat(pair[1], 64)
 			if err != nil {
 				continue
@@ -159,7 +153,6 @@ func main() {
 		}
 		if len(got) > 0 {
 			results[m[1]] = got // last run wins, as `go test -count` would
-			procs[m[1]], _ = strconv.Atoi(m[2])
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -202,14 +195,6 @@ func main() {
 	}
 	if checked == 0 {
 		fatal("no benchmark in the output has a baseline entry in %s", *baselinePath)
-	}
-
-	for _, spec := range strings.Split(*speedups, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		failures += gateSpeedup(spec, results, procs, *speedupMinProcs)
 	}
 
 	if failures > 0 {
@@ -302,49 +287,6 @@ func update(path, baselinePath string, base *baselineFile, results map[string]me
 	for _, c := range eventsChanged {
 		fmt.Printf("benchguard: events/op change: %s\n", c)
 	}
-}
-
-// gateSpeedup enforces one FAST:SLOW:RATIO spec: the parallel benchmark's
-// ns/op must undercut the sequential one's by at least RATIO×. ns/op of a
-// parallel run only means something when the machine actually has the
-// cores, so on a run below minProcs the gate is skipped with a warning
-// loud enough to show up in CI logs (the events/op exact gates above still
-// pin determinism there).
-func gateSpeedup(spec string, results map[string]measured, procs map[string]int, minProcs int) int {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 3 {
-		fatal("bad -speedup spec %q (want FAST:SLOW:RATIO)", spec)
-	}
-	fast, slow := parts[0], parts[1]
-	minRatio, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || minRatio <= 0 {
-		fatal("bad -speedup ratio in %q", spec)
-	}
-	fastGot, ok := results[fast]
-	if !ok {
-		fatal("speedup gate: benchmark %s missing from output (did it run?)", fast)
-	}
-	slowGot, ok := results[slow]
-	if !ok {
-		fatal("speedup gate: benchmark %s missing from output (did it run?)", slow)
-	}
-	if p := procs[fast]; p < minProcs {
-		fmt.Fprintf(os.Stderr, "benchguard: WARNING: skipping speedup gate %s vs %s — run had GOMAXPROCS=%d, need ≥ %d for parallel speedup to be measurable\n",
-			fast, slow, p, minProcs)
-		return 0
-	}
-	fastNs, slowNs := fastGot["ns/op"], slowGot["ns/op"]
-	if fastNs <= 0 || slowNs <= 0 {
-		fatal("speedup gate: %s or %s reported no ns/op", fast, slow)
-	}
-	ratio := slowNs / fastNs
-	if ratio < minRatio {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL speedup %s vs %s: %.2f×, floor %.2f×\n",
-			fast, slow, ratio, minRatio)
-		return 1
-	}
-	fmt.Printf("benchguard: ok   speedup %s vs %s: %.2f× (floor %.2f×)\n", fast, slow, ratio, minRatio)
-	return 0
 }
 
 // gate checks one metric against its baseline with a fractional tolerance
