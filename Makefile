@@ -54,7 +54,7 @@ bench-quick:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR14.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise,BenchmarkIdleFabric2Leaves,BenchmarkFig13IncastMPTCP' bench-quick.txt
 
 # One Fig09 run under the CPU profiler (~0.5 s of profiled simulation).

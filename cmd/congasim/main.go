@@ -73,6 +73,10 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	if bad := ignoredFlags(flag.CommandLine, *mode); len(bad) > 0 {
+		die(fmt.Errorf("-mode %s runs its own fixed topology and does not apply %s",
+			*mode, strings.Join(bad, ", ")))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -216,6 +220,28 @@ func main() {
 		}
 		srv.Close()
 	}
+}
+
+// figFlags are the only flags the fig2 and fig3 modes apply: they run the
+// fixed §2.4 asymmetry topologies and workloads, so any topology, workload,
+// transport or telemetry flag would otherwise be silently ignored.
+var figFlags = map[string]bool{
+	"mode": true, "scheme": true, "seed": true, "cpuprofile": true, "memprofile": true,
+}
+
+// ignoredFlags returns, in name order, the explicitly set flags of fs that
+// mode does not apply.
+func ignoredFlags(fs *flag.FlagSet, mode string) []string {
+	if mode != "fig2" && mode != "fig3" {
+		return nil
+	}
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		if !figFlags[f.Name] {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	return bad
 }
 
 func printFCT(r *conga.FCTResult) {

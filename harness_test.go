@@ -152,7 +152,8 @@ func TestRunFCTRejectsBadScheme(t *testing.T) {
 }
 
 // TestBadTopologyIsAnError feeds topologies that name a link outside the
-// fabric or a non-positive link rate through RunFCT and RunIncast: each
+// fabric, a non-positive link rate or a negative buffer through RunFCT and
+// RunIncast: each
 // must come back as an error naming the problem, never a panic from deep
 // in the fabric build.
 func TestBadTopologyIsAnError(t *testing.T) {
@@ -166,6 +167,8 @@ func TestBadTopologyIsAnError(t *testing.T) {
 		{"failed parallel link out of range", func(t *Topology) { t.FailedLinks = [][3]int{{0, 0, -1}} }, "failed link"},
 		{"negative access rate", func(t *Topology) { t.AccessGbps = -10 }, "AccessRateBps"},
 		{"NaN fabric rate", func(t *Topology) { t.FabricGbps = math.NaN() }, "FabricRateBps"},
+		{"negative edge buffer", func(t *Topology) { t.EdgeBufBytes = -1 }, "EdgeBufBytes"},
+		{"negative fabric buffer", func(t *Topology) { t.FabricBufBytes = -1 }, "FabricBufBytes"},
 	}
 	for _, c := range cases {
 		topo := quickTopo()

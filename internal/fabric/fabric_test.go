@@ -99,6 +99,9 @@ func TestConfigValidation(t *testing.T) {
 		{AccessRateBps: math.NaN()},
 		{FabricRateBps: -1},
 		{FabricRateBps: math.Inf(-1)},
+		{EdgeBufBytes: -1},
+		{FabricBufBytes: -1},
+		{HostBufBytes: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewNetwork(sim.New(), cfg); err == nil {

@@ -18,13 +18,19 @@ type LeafSwitch struct {
 
 	uplinks     []*Link // index = LBTag
 	uplinkSpine []int   // spine ID per uplink
-	downlinks   []*Link // per local host, indexed by position under this leaf
-	hostIndex   map[int]int
+	downlinks   []*Link // per local host: downlinks[h-hostBase] serves host h
+	hostBase    int     // ID of the first host under this leaf
 
-	strategy  Strategy
-	vni       uint32
-	pool      *PacketPool // == net.pool
-	usableBuf []bool
+	// routes[dstLeaf] is the bitmask of uplinks that can reach dstLeaf
+	// (bit i = LBTag i). It is nil while every fabric link is up, when
+	// allUplinks serves every destination; Network.rebuildRoutes rebuilds
+	// it whenever a fabric link changes state (DESIGN.md §3.10).
+	routes     []uint16
+	allUplinks uint16
+
+	strategy Strategy
+	vni      uint32
+	pool     *PacketPool // == net.pool
 
 	// decisions feeds the decision-plane path load matrix with payload
 	// bytes per (uplink, dstLeaf); nil when telemetry is off or the leaf
@@ -47,35 +53,23 @@ func (ls *LeafSwitch) Uplinks() []*Link { return ls.uplinks }
 // UplinkSpine returns the spine the given uplink attaches to.
 func (ls *LeafSwitch) UplinkSpine(uplink int) int { return ls.uplinkSpine[uplink] }
 
-// PathUsable reports, per uplink, whether a packet sent on it can reach
-// dstLeaf: the uplink itself must be up and its spine must retain at least
-// one live downlink to dstLeaf. This models routing convergence after a
-// failure — a fabric withdraws a spine from the ECMP group of leaves it
-// can no longer reach. The returned slice is reused across calls.
-func (ls *LeafSwitch) PathUsable(dstLeaf int) []bool {
-	if ls.usableBuf == nil {
-		ls.usableBuf = make([]bool, len(ls.uplinks))
+// PathMask reports, as a bitmask over uplinks (bit i = LBTag i), which
+// uplinks can carry a packet to dstLeaf: the uplink itself must be up and
+// its spine must retain at least one live downlink to dstLeaf. This models
+// routing convergence after a failure — a fabric withdraws a spine from
+// the ECMP group of leaves it can no longer reach. It is a table lookup;
+// the tables change only when a fabric link does.
+func (ls *LeafSwitch) PathMask(dstLeaf int) uint16 {
+	if ls.routes == nil {
+		return ls.allUplinks
 	}
-	for i, l := range ls.uplinks {
-		ok := l.Up()
-		if ok {
-			ok = false
-			for _, d := range ls.net.Spines[ls.uplinkSpine[i]].Downlinks(dstLeaf) {
-				if d.Up() {
-					ok = true
-					break
-				}
-			}
-		}
-		ls.usableBuf[i] = ok
-	}
-	return ls.usableBuf
+	return ls.routes[dstLeaf]
 }
 
 // Downlink returns the link toward a local host, or nil if the host is not
 // under this leaf.
 func (ls *LeafSwitch) Downlink(host int) *Link {
-	if i, ok := ls.hostIndex[host]; ok {
+	if i := host - ls.hostBase; uint(i) < uint(len(ls.downlinks)) {
 		return ls.downlinks[i]
 	}
 	return nil
@@ -135,7 +129,7 @@ func (ls *LeafSwitch) fromFabric(p *Packet, now sim.Time) {
 // sendControl emits a leaf-to-leaf control packet (explicit feedback)
 // toward dstLeaf on any currently usable uplink.
 func (ls *LeafSwitch) sendControl(dstLeaf int, hdr core.Header, now sim.Time) {
-	up := hashOverMask(ls.PathUsable(dstLeaf), uint64(now)^uint64(dstLeaf)*0x9e3779b97f4a7c15)
+	up := hashOverBits(ls.PathMask(dstLeaf), uint64(now)^uint64(dstLeaf)*0x9e3779b97f4a7c15)
 	if up < 0 {
 		return
 	}

@@ -72,6 +72,9 @@ type Link struct {
 	// drops the drained link from the list.
 	dreNotify func(*Link)
 	dreListed bool
+	// routeNotify (set by the network on fabric links) rebuilds the
+	// network's route masks after SetUp changes the link's state.
+	routeNotify func()
 
 	// Counters, exported for the stats collectors.
 	TxPackets uint64
@@ -142,8 +145,10 @@ func (l *Link) Rate() float64 { return l.rate }
 func (l *Link) Up() bool { return l.up }
 
 // SetUp administratively raises or fails the link. Failing a link drops
-// everything queued (as pulling a cable does) and resets its DRE.
+// everything queued (as pulling a cable does) and resets its DRE. It is the
+// only writer of the link's state, so it is where routing reconverges.
 func (l *Link) SetUp(up bool) {
+	changed := l.up != up
 	l.up = up
 	if !up {
 		for _, p := range l.queue[l.qhead:] {
@@ -190,6 +195,9 @@ func (l *Link) SetUp(up bool) {
 				}
 			}
 		}
+	}
+	if changed && l.routeNotify != nil {
+		l.routeNotify()
 	}
 }
 

@@ -156,6 +156,13 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("fabric: FabricPropDelay %v must be positive", c.FabricPropDelay)
 	case c.AccessPropDelay <= 0:
 		return fmt.Errorf("fabric: AccessPropDelay %v must be positive", c.AccessPropDelay)
+	case c.EdgeBufBytes < 0:
+		// Zero means "default"; a negative size would panic in NewLink.
+		return fmt.Errorf("fabric: EdgeBufBytes %d must be positive", c.EdgeBufBytes)
+	case c.FabricBufBytes < 0:
+		return fmt.Errorf("fabric: FabricBufBytes %d must be positive", c.FabricBufBytes)
+	case c.HostBufBytes < 0:
+		return fmt.Errorf("fabric: HostBufBytes %d must be positive", c.HostBufBytes)
 	case len(c.LeafSchemes) > c.NumLeaves:
 		return fmt.Errorf("fabric: %d per-leaf schemes for %d leaves", len(c.LeafSchemes), c.NumLeaves)
 	}
@@ -176,6 +183,7 @@ type Network struct {
 	Leaves []*LeafSwitch
 	Spines []*SpineSwitch
 
+	hostLeaf    []int // hostLeaf[h] == Hosts[h].Leaf, read once per packet
 	fabricLinks []*Link
 	rng         *sim.Rand
 	pool        *PacketPool
@@ -202,6 +210,57 @@ type Network struct {
 // transmission after the link's register drained to zero.
 func (n *Network) noteDREActive(l *Link) { n.dreActive = append(n.dreActive, l) }
 
+// rebuildRoutes is each fabric link's routeNotify hook: it recomputes every
+// leaf's and spine's route masks after a link changes state (DESIGN.md
+// §3.10). While every fabric link is up it drops the tables, and the
+// switches fall back to their all-links masks.
+func (n *Network) rebuildRoutes() {
+	allUp := true
+	for _, l := range n.fabricLinks {
+		if !l.up {
+			allUp = false
+			break
+		}
+	}
+	if allUp {
+		for _, ss := range n.Spines {
+			ss.routes = nil
+		}
+		for _, ls := range n.Leaves {
+			ls.routes = nil
+		}
+		return
+	}
+	for _, ss := range n.Spines {
+		if ss.routes == nil {
+			ss.routes = make([]uint16, len(ss.down))
+		}
+		for leaf, links := range ss.down {
+			var m uint16
+			for k, l := range links {
+				if l.up {
+					m |= 1 << k
+				}
+			}
+			ss.routes[leaf] = m
+		}
+	}
+	for _, ls := range n.Leaves {
+		if ls.routes == nil {
+			ls.routes = make([]uint16, len(n.Leaves))
+		}
+		for dst := range ls.routes {
+			var m uint16
+			for i, l := range ls.uplinks {
+				if l.up && n.Spines[ls.uplinkSpine[i]].routes[dst] != 0 {
+					m |= 1 << i
+				}
+			}
+			ls.routes[dst] = m
+		}
+	}
+}
+
 // Pool returns the network's packet pool. Transports normally allocate via
 // Host.NewPacket; the accessor exists for stats and tests.
 func (n *Network) Pool() *PacketPool { return n.pool }
@@ -219,11 +278,15 @@ func NewNetwork(eng *sim.Engine, cfg Config) (*Network, error) {
 		Cfg:    cfg,
 		rng:    sim.NewRand(cfg.Seed),
 		pool:   pool,
+
+		Hosts:    make([]*Host, 0, cfg.NumLeaves*cfg.HostsPerLeaf),
+		hostLeaf: make([]int, 0, cfg.NumLeaves*cfg.HostsPerLeaf),
 	}
 
 	// Hosts and leaves.
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
-		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, hostIndex: make(map[int]int)}
+		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool,
+			hostBase: leaf * cfg.HostsPerLeaf, downlinks: make([]*Link, 0, cfg.HostsPerLeaf)}
 		n.Leaves = append(n.Leaves, ls)
 		for i := 0; i < cfg.HostsPerLeaf; i++ {
 			hostID := leaf*cfg.HostsPerLeaf + i
@@ -244,15 +307,16 @@ func NewNetwork(eng *sim.Engine, cfg Config) (*Network, error) {
 				Params:    cfg.Params,
 				Pool:      pool,
 			}, h)
-			ls.hostIndex[hostID] = len(ls.downlinks)
 			ls.downlinks = append(ls.downlinks, down)
 			n.Hosts = append(n.Hosts, h)
+			n.hostLeaf = append(n.hostLeaf, leaf)
 		}
 	}
 
 	// Spines and fabric links.
 	for s := 0; s < cfg.NumSpines; s++ {
-		ss := &SpineSwitch{ID: s, pool: pool, down: make([][]*Link, cfg.NumLeaves)}
+		ss := &SpineSwitch{ID: s, pool: pool, down: make([][]*Link, cfg.NumLeaves),
+			allLinks: uint16(1<<cfg.LinksPerSpine - 1)}
 		n.Spines = append(n.Spines, ss)
 	}
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
@@ -290,6 +354,17 @@ func NewNetwork(eng *sim.Engine, cfg Config) (*Network, error) {
 				n.fabricLinks = append(n.fabricLinks, up, down)
 			}
 		}
+	}
+
+	// Route masks: with every link up, the all-links masks serve every
+	// destination and no tables exist; fabric links rebuild them when
+	// they change state.
+	for _, ls := range n.Leaves {
+		ls.allUplinks = uint16(1<<len(ls.uplinks) - 1)
+	}
+	rebuild := n.rebuildRoutes
+	for _, l := range n.fabricLinks {
+		l.routeNotify = rebuild
 	}
 
 	// Strategies (need uplinks wired first); the RNG splits run in leaf ID
@@ -552,7 +627,7 @@ func (n *Network) newStrategy(ls *LeafSwitch) Strategy {
 func (n *Network) NumLeaves() int { return len(n.Leaves) }
 
 // HostLeaf returns the leaf a host attaches to.
-func (n *Network) HostLeaf(host int) int { return n.Hosts[host].Leaf }
+func (n *Network) HostLeaf(host int) int { return n.hostLeaf[host] }
 
 // Host returns host i.
 func (n *Network) Host(i int) *Host { return n.Hosts[i] }

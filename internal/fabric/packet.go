@@ -29,20 +29,45 @@ const (
 
 // Packet is the simulated unit of transfer. One struct serves both data and
 // ACK segments; transports interpret the sequence fields.
+//
+// Field order is a layout decision (DESIGN.md §3.10): the fields every hop
+// reads — wire size, host/leaf addressing, the memoized LB hash, the
+// overlay header and the flags — come first and end within the first 64
+// bytes, so a hop touches one cache line. TestPacketHotFieldsFitOneCacheLine
+// guards the order; put new fields after SentAt unless every hop reads them.
 type Packet struct {
+	// Per-hop fields.
+	Payload int // payload bytes carried (0 for pure ACKs)
+	DstHost int
+	DstPort int
+	// Overlay addressing, valid while the packet is inside the fabric.
+	SrcLeaf int
+	DstLeaf int
+	// lbHash memoizes the load-balancing flow hash (see strategy.go's
+	// flowHash): the hashed identity fields are immutable once the packet
+	// enters the fabric, and every hop's strategy would otherwise recompute
+	// the same 40-round byte hash. Zero means "not yet computed"; the pool
+	// clears it on recycle.
+	lbHash uint64
+	// Hdr is the overlay (VXLAN/CONGA) header.
+	Hdr core.Header
+	// Ctrl marks a leaf-to-leaf control packet (explicit CONGA feedback):
+	// it terminates at the destination TEP instead of a host.
+	Ctrl bool
+	// pooled marks packets allocated from a PacketPool; only those are
+	// recycled on release (see PacketPool).
+	pooled bool
+	IsAck  bool
+
 	// Flow identity. FlowID is unique per (sub)flow and is what ECMP and
-	// the flowlet table hash.
+	// the flowlet table hash (with SrcHost, DstHost, SrcPort, DstPort).
 	FlowID  uint64
 	SrcHost int
-	DstHost int
 	SrcPort int
-	DstPort int
 
 	// Transport state.
-	Seq     int64 // first payload byte's offset
-	Payload int   // payload bytes carried (0 for pure ACKs)
-	IsAck   bool
-	AckNo   int64 // cumulative ACK (valid when IsAck)
+	Seq   int64 // first payload byte's offset
+	AckNo int64 // cumulative ACK (valid when IsAck)
 	// Sack carries up to SackN selective-acknowledgement ranges
 	// [start, end) above AckNo, mirroring the TCP SACK option's 3-block
 	// limit when a timestamp option is present. A fixed array keeps pure
@@ -53,27 +78,8 @@ type Packet struct {
 	// data packet's SentAt in the ACK.
 	EchoTS sim.Time
 
-	// Overlay state, valid while the packet is inside the fabric.
-	Hdr     core.Header
-	SrcLeaf int
-	DstLeaf int
-	// Ctrl marks a leaf-to-leaf control packet (explicit CONGA feedback):
-	// it terminates at the destination TEP instead of a host.
-	Ctrl bool
-
 	// Measurement.
 	SentAt sim.Time
-
-	// lbHash memoizes the load-balancing flow hash (see strategy.go's
-	// flowHash): the hashed identity fields are immutable once the packet
-	// enters the fabric, and every hop's strategy would otherwise recompute
-	// the same 40-round byte hash. Zero means "not yet computed"; the pool
-	// clears it on recycle.
-	lbHash uint64
-
-	// pooled marks packets allocated from a PacketPool; only those are
-	// recycled on release (see PacketPool).
-	pooled bool
 }
 
 // SetLBHash stamps the packet's memoized load-balancing flow hash. h must

@@ -14,6 +14,11 @@ type SpineSwitch struct {
 
 	// down[leaf] lists the parallel links toward that leaf.
 	down [][]*Link
+	// routes[leaf] is the bitmask of live links in down[leaf]; nil while
+	// every fabric link is up, when allLinks serves every leaf (see
+	// LeafSwitch.routes).
+	routes   []uint16
+	allLinks uint16
 
 	// NoRouteDrops counts packets with no surviving link to their leaf.
 	NoRouteDrops uint64
@@ -22,13 +27,21 @@ type SpineSwitch struct {
 // Downlinks returns the parallel links toward leaf.
 func (ss *SpineSwitch) Downlinks(leaf int) []*Link { return ss.down[leaf] }
 
+// liveMask reports, as a bitmask over Downlinks(leaf), which parallel
+// links toward leaf are up.
+func (ss *SpineSwitch) liveMask(leaf int) uint16 {
+	if ss.routes == nil {
+		return ss.allLinks
+	}
+	return ss.routes[leaf]
+}
+
 func (ss *SpineSwitch) handle(p *Packet, _ *Link, now sim.Time) {
-	links := ss.down[p.DstLeaf]
-	idx := hashOverUp(links, flowHash(p))
+	idx := hashOverBits(ss.liveMask(p.DstLeaf), flowHash(p))
 	if idx < 0 {
 		ss.NoRouteDrops++
 		ss.pool.Put(p)
 		return
 	}
-	links[idx].Send(p, now)
+	ss.down[p.DstLeaf][idx].Send(p, now)
 }

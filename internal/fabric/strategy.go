@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"conga/internal/core"
 	"conga/internal/sim"
@@ -105,7 +106,7 @@ type ecmpStrategy struct {
 func (s *ecmpStrategy) Name() string { return "ecmp" }
 
 func (s *ecmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
-	return hashOverMask(s.ls.PathUsable(dstLeaf), flowHash(p))
+	return hashOverBits(s.ls.PathMask(dstLeaf), flowHash(p))
 }
 
 func (s *ecmpStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {
@@ -115,56 +116,26 @@ func (s *ecmpStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {
 func (s *ecmpStrategy) OnFabricArrival(*Packet, int, sim.Time) {}
 func (s *ecmpStrategy) Tick(sim.Time)                          {}
 
-// hashOverUp deterministically maps hash onto the set of currently-up
-// links, mirroring an ECMP group whose members are withdrawn on failure.
-// It is hashOverMask inlined over the links directly: this runs once per
-// packet per spine hop, so materializing a mask slice here would put an
-// allocation on the packet hot path.
-func hashOverUp(links []*Link, hash uint64) int {
-	n := 0
-	for _, l := range links {
-		if l.Up() {
-			n++
-		}
-	}
+// hashOverBits deterministically maps hash onto the set bits of mask,
+// mirroring an ECMP group whose members are withdrawn on failure: it
+// returns the index of the (hash mod popcount)-th set bit, counting from
+// bit 0, or −1 for an empty mask. This is exactly the member a walk over a
+// per-member usable list picks when it counts k down over the usable
+// entries in index order (DESIGN.md §3.10).
+func hashOverBits(mask uint16, hash uint64) int {
+	n := bits.OnesCount16(mask)
 	if n == 0 {
 		return -1
 	}
 	k := int(hash % uint64(n))
-	for i, l := range links {
-		if !l.Up() {
-			continue
-		}
-		if k == 0 {
-			return i
-		}
-		k--
+	if mask&(mask+1) == 0 {
+		// Contiguous from bit 0 (every member usable): bit k is the answer.
+		return k
 	}
-	return -1
-}
-
-// hashOverMask maps hash onto the set of usable members.
-func hashOverMask(usable []bool, hash uint64) int {
-	n := 0
-	for _, ok := range usable {
-		if ok {
-			n++
-		}
+	for ; k > 0; k-- {
+		mask &= mask - 1 // drop the lowest set bit
 	}
-	if n == 0 {
-		return -1
-	}
-	k := int(hash % uint64(n))
-	for i, ok := range usable {
-		if !ok {
-			continue
-		}
-		if k == 0 {
-			return i
-		}
-		k--
-	}
-	return -1
+	return bits.TrailingZeros16(mask)
 }
 
 // --- CONGA / CONGA-Flow ---
@@ -208,10 +179,10 @@ func (s *congaStrategy) Core() *core.Leaf { return s.leaf }
 func (s *congaStrategy) FlowletTable() *core.FlowletTable { return s.leaf.Flowlets }
 
 func (s *congaStrategy) SelectUplink(p *Packet, dstLeaf int, now sim.Time) int {
-	usable := s.ls.PathUsable(dstLeaf)
+	mask := s.ls.PathMask(dstLeaf)
 	for i, l := range s.ls.uplinks {
 		s.localBuf[i] = l.Metric()
-		s.allowed[i] = usable[i]
+		s.allowed[i] = mask&(1<<i) != 0
 	}
 	up, _ := s.leaf.SelectUplink(flowHash(p), dstLeaf, s.localBuf, s.allowed, now)
 	return up
@@ -276,14 +247,14 @@ func (s *localStrategy) FlowletTable() *core.FlowletTable { return s.flowlets }
 
 func (s *localStrategy) SelectUplink(p *Packet, dstLeaf int, now sim.Time) int {
 	hash := flowHash(p)
-	usable := s.ls.PathUsable(dstLeaf)
+	mask := s.ls.PathMask(dstLeaf)
 	port, active := s.flowlets.Lookup(hash, now)
-	if active && port >= 0 && usable[port] {
+	if active && port >= 0 && mask&(1<<port) != 0 {
 		return port
 	}
 	for i, l := range s.ls.uplinks {
 		s.localBuf[i] = l.Metric()
-		s.allowed[i] = usable[i]
+		s.allowed[i] = mask&(1<<i) != 0
 	}
 	choice := core.Decide(s.localBuf, s.zeros, s.allowed, port, s.rng)
 	if choice >= 0 {
@@ -309,11 +280,11 @@ type sprayStrategy struct {
 func (s *sprayStrategy) Name() string { return "spray" }
 
 func (s *sprayStrategy) SelectUplink(_ *Packet, dstLeaf int, _ sim.Time) int {
-	usable := s.ls.PathUsable(dstLeaf)
+	mask := s.ls.PathMask(dstLeaf)
 	n := len(s.ls.uplinks)
 	for i := 0; i < n; i++ {
 		idx := (s.next + i) % n
-		if usable[idx] {
+		if mask&(1<<idx) != 0 {
 			s.next = idx + 1
 			return idx
 		}
@@ -351,10 +322,10 @@ func newWCMPStrategy(ls *LeafSwitch, weights []float64) *wcmpStrategy {
 func (s *wcmpStrategy) Name() string { return "wcmp" }
 
 func (s *wcmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
-	usable := s.ls.PathUsable(dstLeaf)
+	mask := s.ls.PathMask(dstLeaf)
 	total := 0.0
 	for i := range s.ls.uplinks {
-		if usable[i] {
+		if mask&(1<<i) != 0 {
 			total += s.weights[i]
 		}
 	}
@@ -365,7 +336,7 @@ func (s *wcmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
 	// and walk the weight CDF, so flows never reorder.
 	u := float64(flowHash(p)>>11) / (1 << 53) * total
 	for i := range s.ls.uplinks {
-		if !usable[i] {
+		if mask&(1<<i) == 0 {
 			continue
 		}
 		u -= s.weights[i]
@@ -374,12 +345,7 @@ func (s *wcmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
 		}
 	}
 	// Float round-off: return the last usable link.
-	for i := len(s.ls.uplinks) - 1; i >= 0; i-- {
-		if usable[i] {
-			return i
-		}
-	}
-	return -1
+	return 15 - bits.LeadingZeros16(mask)
 }
 
 func (s *wcmpStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {

@@ -12,11 +12,11 @@ func TestPathUsableWithdrawsSpineForUnreachableLeaf(t *testing.T) {
 	// Kill spine 1's only link to leaf 1: leaf 0 must stop using spine 1
 	// for leaf-1 traffic, while leaf-0-bound paths are untouched.
 	n.FailLink(1, 1, 0)
-	usable := n.Leaves[0].PathUsable(1)
-	if usable[1] {
+	usable := n.Leaves[0].PathMask(1)
+	if usable&(1<<1) != 0 {
 		t.Fatal("leaf 0 still considers spine 1 usable toward leaf 1")
 	}
-	if !usable[0] {
+	if usable&(1<<0) == 0 {
 		t.Fatal("healthy path marked unusable")
 	}
 }
@@ -24,9 +24,8 @@ func TestPathUsableWithdrawsSpineForUnreachableLeaf(t *testing.T) {
 func TestPathUsableRequiresLocalUplink(t *testing.T) {
 	n := MustNetwork(sim.New(), smallTestConfig(SchemeECMP))
 	n.FailLink(0, 0, 0) // leaf 0's own uplink to spine 0
-	usable := n.Leaves[0].PathUsable(1)
-	if usable[0] || !usable[1] {
-		t.Fatalf("usable = %v, want [false true]", usable)
+	if usable := n.Leaves[0].PathMask(1); usable != 0b10 {
+		t.Fatalf("usable = %02b, want 10", usable)
 	}
 }
 
@@ -35,10 +34,10 @@ func TestPathUsableLAGSurvivesPartialFailure(t *testing.T) {
 	cfg.LinksPerSpine = 2
 	n := MustNetwork(sim.New(), cfg)
 	n.FailLink(1, 1, 0) // one of two members on the spine1→leaf1 pair
-	usable := n.Leaves[0].PathUsable(1)
-	for i, ok := range usable {
-		if !ok {
-			t.Fatalf("uplink %d withdrawn though spine 1 still reaches leaf 1: %v", i, usable)
+	usable := n.Leaves[0].PathMask(1)
+	for i := range n.Leaves[0].Uplinks() {
+		if usable&(1<<i) == 0 {
+			t.Fatalf("uplink %d withdrawn though spine 1 still reaches leaf 1: %04b", i, usable)
 		}
 	}
 }
